@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point, tiered so the workflow can fan stages out:
 #
-#   scripts/ci.sh                  # everything (lint -> tests -> perf -> cluster -> obs)
+#   scripts/ci.sh                  # everything (lint -> tests -> perf -> cluster -> obs -> bench)
 #   scripts/ci.sh --stage lint     # compile + pyflakes + mypy + repro lint
 #   scripts/ci.sh --stage tests    # tier-1 pytest suite
 #   scripts/ci.sh --stage perf     # sweep perf smoke bench
@@ -9,6 +9,9 @@
 #   scripts/ci.sh --stage replication  # placement + re-replication smoke
 #   scripts/ci.sh --stage obs      # traced cluster smoke + trace schema
 #                                  # + tracing-overhead trend gate
+#   scripts/ci.sh --stage bench    # repo benchmark (perfbench/) at every
+#                                  # workload's reference seed: outputs
+#                                  # must match references.json bitwise
 #
 # The perf benches run at a tiny scale factor and enforce the >= 5x
 # speedup gates (they also refresh the smoke copy of BENCH_perf.json;
@@ -23,7 +26,7 @@ STAGE="all"
 while [ $# -gt 0 ]; do
     case "$1" in
         --stage) STAGE="$2"; shift 2 ;;
-        *) echo "usage: scripts/ci.sh [--stage lint|tests|perf|cluster|replication|obs|all]" >&2
+        *) echo "usage: scripts/ci.sh [--stage lint|tests|perf|cluster|replication|obs|bench|all]" >&2
            exit 2 ;;
     esac
 done
@@ -188,6 +191,30 @@ EOF
         --max-regression 0.05
 }
 
+run_bench() {
+    # Each workload at the seed its outputs are recorded for in
+    # perfbench/references.json; a short run still simulates the full
+    # arrival count per iteration, so this is a bitwise-output check at
+    # real sizes, not a timing gate.
+    local spec workload seed result
+    for spec in spread-1m:7 least-loaded-traced:7 qed-master:11; do
+        workload="${spec%%:*}"
+        seed="${spec##*:}"
+        echo "== perfbench $workload (seed $seed) =="
+        result="$(python3 perfbench/run.py --workload "$workload" \
+            --seed "$seed" --seconds 5 | tail -n 1)"
+        echo "$result"
+        python3 - "$result" <<'EOF'
+import json
+import sys
+
+result = json.loads(sys.argv[1])
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"perfbench: expected correct with 0 failed, got {result}")
+EOF
+    done
+}
+
 case "$STAGE" in
     lint)    run_lint ;;
     tests)   run_tests ;;
@@ -195,8 +222,9 @@ case "$STAGE" in
     cluster) run_cluster ;;
     replication) run_replication ;;
     obs)     run_obs ;;
+    bench)   run_bench ;;
     all)     run_lint; run_tests; run_perf; run_cluster;
-             run_replication; run_obs ;;
+             run_replication; run_obs; run_bench ;;
     *) echo "unknown stage: $STAGE" >&2; exit 2 ;;
 esac
 

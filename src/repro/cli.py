@@ -118,35 +118,62 @@ def _load_fleet(path: str):
     Schema: ``{"groups": [{"count": 2, "prefix": "big", "hw": "paper",
     "underclock_pct": 0, "downgrade": "none", "capacity": 1.0,
     "sleep_wall_w": 3.5, "wake_latency_s": 30.0}, ...]}`` -- every key
-    but ``count`` optional.
+    but ``count`` optional.  A malformed document raises a
+    ``ValueError`` naming the field path (``groups[0].count``), the
+    offending value and what was expected.
     """
     import json
 
     from repro.cluster import NodeGroup, hetero_fleet
+    from repro.cluster.faults import json_number
     from repro.hardware.cpu import PvcSetting, VoltageDowngrade
 
     with open(path) as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(
+            'fleet: expected an object {"groups": [...]}, '
+            f"got {doc!r}"
+        )
+    entries = doc.get("groups", [])
+    if not isinstance(entries, list):
+        raise ValueError(
+            f"groups: expected a list of node groups, got {entries!r}"
+        )
     groups = []
-    for i, raw in enumerate(doc.get("groups", [])):
+    for i, raw in enumerate(entries):
+        path = f"groups[{i}]"
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: expected a group object, got {raw!r}")
         extra = set(raw) - {
             "count", "prefix", "hw", "underclock_pct", "downgrade",
             "capacity", "sleep_wall_w", "wake_latency_s",
         }
         if extra:
-            raise ValueError(f"fleet group {i}: unknown keys {sorted(extra)}")
-        groups.append(NodeGroup(
-            count=int(raw["count"]),
-            prefix=raw.get("prefix", f"g{i}n"),
-            hw=raw.get("hw", "paper"),
-            setting=PvcSetting(
-                float(raw.get("underclock_pct", 0.0)),
-                VoltageDowngrade(raw.get("downgrade", "none")),
-            ),
-            capacity=float(raw.get("capacity", 1.0)),
-            sleep_wall_w=float(raw.get("sleep_wall_w", 3.5)),
-            wake_latency_s=float(raw.get("wake_latency_s", 30.0)),
-        ))
+            raise ValueError(f"{path}: unknown keys {sorted(extra)}")
+        count = json_number(f"{path}.count", raw.get("count"))
+        numbers = {
+            key: float(json_number(f"{path}.{key}", raw.get(key, default)))
+            for key, default in (
+                ("underclock_pct", 0.0), ("capacity", 1.0),
+                ("sleep_wall_w", 3.5), ("wake_latency_s", 30.0),
+            )
+        }
+        try:
+            groups.append(NodeGroup(
+                count=int(count),
+                prefix=raw.get("prefix", f"g{i}n"),
+                hw=raw.get("hw", "paper"),
+                setting=PvcSetting(
+                    numbers["underclock_pct"],
+                    VoltageDowngrade(raw.get("downgrade", "none")),
+                ),
+                capacity=numbers["capacity"],
+                sleep_wall_w=numbers["sleep_wall_w"],
+                wake_latency_s=numbers["wake_latency_s"],
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return hetero_fleet(groups)
 
 
@@ -339,8 +366,11 @@ def cmd_cluster(args) -> int:
                 wake_latency_s=args.wake_latency,
                 queue_policy=policy if qed_mode == "node" else None,
             )
-        if args.window is not None and args.window <= 0:
-            raise ValueError("--window must be positive")
+        # Negated comparisons so NaN fails them too.
+        if args.window is not None and not args.window > 0:
+            raise ValueError(f"--window must be positive, got {args.window:g}")
+        if args.sla is not None and not args.sla >= 0:
+            raise ValueError(f"--sla must be non-negative, got {args.sla:g}")
         # An empty stream is a valid (if degenerate) run: the simulator
         # returns a well-formed zero-arrival measurement.
         fault_plan = None

@@ -56,6 +56,31 @@ import numpy as np
 #: The fault kinds a :class:`FaultSpec` may carry.
 FAULT_KINDS = ("crash", "wake-failure", "straggler", "unavailable")
 
+#: Numeric :class:`FaultSpec` fields, and whether each may be null.
+_NUMERIC_FIELDS = {
+    "at_s": False, "recover_s": True, "start_s": False, "end_s": True,
+    "probability": False, "slowdown": False,
+}
+
+
+def json_number(path: str, value, nullable: bool = False):
+    """``value`` read from a JSON document at ``path``, checked to be
+    a finite number (or null when ``nullable``).
+
+    Raises a ``ValueError`` naming the path, the offending value and
+    what was expected, instead of letting a string or a list fail
+    later inside arithmetic with a bare ``TypeError``.
+    """
+    if value is None and nullable:
+        return None
+    if (
+        isinstance(value, bool) or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        expected = "a finite number" + (" or null" if nullable else "")
+        raise ValueError(f"{path}: expected {expected}, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -193,20 +218,49 @@ class FaultPlan:
     def from_dict(cls, doc: dict) -> "FaultPlan":
         """Build a plan from the ``--faults plan.json`` schema:
         ``{"seed": 0, "faults": [{"kind": "crash", "node": "node01",
-        "at_s": 30.0}, ...]}``."""
-        known = {
-            "kind", "node", "at_s", "recover_s", "start_s", "end_s",
-            "probability", "slowdown",
-        }
+        "at_s": 30.0}, ...]}``.
+
+        A malformed document raises a ``ValueError`` naming the field
+        path (``faults[0].at_s``), the offending value and what was
+        expected.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(
+                'fault plan: expected an object {"seed": ..., '
+                f'"faults": [...]}}, got {doc!r}'
+            )
+        seed = doc.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed: expected an integer, got {seed!r}")
+        entries = doc.get("faults", [])
+        if not isinstance(entries, list):
+            raise ValueError(
+                f"faults: expected a list of faults, got {entries!r}"
+            )
         specs = []
-        for i, raw in enumerate(doc.get("faults", [])):
-            extra = set(raw) - known
-            if extra:
+        for i, raw in enumerate(entries):
+            path = f"faults[{i}]"
+            if not isinstance(raw, dict):
                 raise ValueError(
-                    f"fault {i}: unknown keys {sorted(extra)}"
+                    f"{path}: expected a fault object, got {raw!r}"
                 )
-            specs.append(FaultSpec(**raw))
-        return cls(specs, seed=int(doc.get("seed", 0)))
+            extra = set(raw) - {"kind", "node", *_NUMERIC_FIELDS}
+            if extra:
+                raise ValueError(f"{path}: unknown keys {sorted(extra)}")
+            for key in ("kind", "node"):
+                if not isinstance(raw.get(key), str):
+                    raise ValueError(
+                        f"{path}.{key}: expected a string, "
+                        f"got {raw.get(key)!r}"
+                    )
+            for key, nullable in _NUMERIC_FIELDS.items():
+                if key in raw:
+                    json_number(f"{path}.{key}", raw[key], nullable)
+            try:
+                specs.append(FaultSpec(**raw))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        return cls(specs, seed=seed)
 
     def to_dict(self) -> dict:
         """The plan back in its JSON schema (fingerprinting, exports)."""

@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.cluster.measure import ScheduledWork
 from repro.core.fleet import ServerSpec, server_from_sut
 from repro.core.qed.policy import BatchPolicy
@@ -36,7 +38,7 @@ from repro.core.qed.queue import QueryQueue
 from repro.hardware.cpu import PvcSetting, STOCK_SETTING
 from repro.hardware.profiles import paper_sut
 from repro.hardware.system import SystemUnderTest
-from repro.hardware.trace import CompiledTrace, Idle, Trace
+from repro.hardware.trace import KIND_IDLE, CompiledTrace
 
 #: Named hardware profiles a :class:`NodeSpec` may reference.  All are
 #: variants of the calibrated paper machine; registering a new profile
@@ -47,6 +49,10 @@ SUT_FACTORIES: dict[str, Callable[[], SystemUnderTest]] = {
     "paper-nogpu": lambda: paper_sut(has_gpu=False),
     "paper-diskless": lambda: paper_sut(has_disk=False),
 }
+
+#: Key under which a query's duration is pre-costed: the node's
+#: hardware profile plus the PVC setting it currently holds.
+CostKey = tuple[str, PvcSetting]
 
 
 @dataclass(frozen=True)
@@ -265,6 +271,10 @@ class SimulatedNode(TimelineAccounting):
         #: ``faults``; re-replication after a crash grows the set of
         #: the copy's destination mid-run.
         self.shards: set[tuple[str, int]] | None = None
+        #: The run's pre-costed durations per ``(hw, setting)``,
+        #: installed by the simulator's ``schedule()``; survives
+        #: ``reset``.  None: no run has been costed yet.
+        self.costs: dict[CostKey, dict[str, float]] | None = None
         self.reset(awake=True)
 
     # -- life cycle -------------------------------------------------------
@@ -279,6 +289,7 @@ class SimulatedNode(TimelineAccounting):
         self.busy_until = 0.0
         self.scheduled: list[ScheduledWork] = []
         self.setting = self.spec.setting
+        self._select_service_row()
         self.setting_log: list[tuple[float, PvcSetting]] = [
             (0.0, self.spec.setting)
         ]
@@ -294,8 +305,13 @@ class SimulatedNode(TimelineAccounting):
 
     @property
     def ready_s(self) -> float:
-        """Earliest time newly routed work could start (if awake)."""
-        return max(self.busy_until, self.wake_ready_s)
+        """Earliest time newly routed work could start (if awake): the
+        later of ``busy_until`` and ``wake_ready_s``.  Routers read it
+        for every candidate node on every arrival, so it is spelled
+        without the ``max()`` call and the nested property."""
+        wake = self.wake_log[-1][1] if self.wake_log else 0.0
+        busy = self.busy_until
+        return wake if wake > busy else busy
 
     def can_serve(self, now_s: float) -> bool:
         """Routable at ``now_s``: neither crashed nor transiently
@@ -340,7 +356,25 @@ class SimulatedNode(TimelineAccounting):
         if self.setting_log and now_s < self.setting_log[-1][0]:
             raise ValueError("setting changes must move forward in time")
         self.setting = setting
+        self._select_service_row()
         self.setting_log.append((now_s, setting))
+
+    def _select_service_row(self) -> None:
+        """Point ``service`` (SQL -> seconds) at the pre-costed row of
+        the node's current ``(hw, setting)``, so routers read service
+        times with one dict lookup and a retune is seen at once."""
+        if self.costs is None:
+            self.service: dict[str, float] = {}
+            return
+        try:
+            self.service = self.costs[(self.spec.hw, self.setting)]
+        except KeyError:
+            raise KeyError(
+                f"no pre-costed duration for node {self.spec.name!r} "
+                f"under setting {self.setting.describe()!r}; routers that "
+                "retune nodes must expose the settings they use via a "
+                "`ladder` attribute"
+            ) from None
 
     def drained(self, now_s: float) -> bool:
         """No backlog, no queued work, nothing in flight at ``now_s``."""
@@ -529,5 +563,24 @@ def node_timeline_pieces(
     return pieces, settings
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+#: The columns every idle piece shares: one ``Idle`` row, zero work.
+_IDLE_KIND = _read_only(np.full(1, KIND_IDLE, dtype=np.int8))
+_ZERO_F64 = _read_only(np.zeros(1))
+_ZERO_I64 = _read_only(np.zeros(1, dtype=np.int64))
+_FALSE = _read_only(np.zeros(1, dtype=bool))
+
+
 def _idle_piece(seconds: float, label: str) -> CompiledTrace:
-    return Trace([Idle(seconds, label=label)]).compiled()
+    """The compiled form of ``Trace([Idle(seconds, label)])``; only the
+    ``seconds`` column is allocated."""
+    return CompiledTrace(
+        kinds=_IDLE_KIND, cycles=_ZERO_F64, utilization=_ZERO_F64,
+        num_ops=_ZERO_I64, bytes_total=_ZERO_F64, sequential=_FALSE,
+        write=_FALSE, seconds=np.array([seconds], dtype=np.float64),
+        labels=(label,),
+    )

@@ -72,6 +72,11 @@ class Router:
     and wake transitions, EWMA load tracking, power-cap admission)
     simply omit it and keep the exact per-arrival loop.
 
+    ``route`` reads each node's service time for ``sql`` from the
+    node's pre-costed row, ``node.service[sql]``, which always follows
+    the node's current PVC setting (see
+    :meth:`~repro.cluster.node.SimulatedNode.set_setting`).
+
     When a :class:`~repro.cluster.placement.PlacementMap` is active the
     simulator installs it as ``placement`` (before ``prepare``) and
     narrows the ``nodes`` list passed to ``route`` to the arrival's
@@ -94,7 +99,6 @@ class Router:
             node.reset(awake=True)
 
     def route(self, sql: str, now_s: float,
-              service_by_node: dict[str, float],
               nodes: list[SimulatedNode]) -> Decision:
         raise NotImplementedError
 
@@ -166,6 +170,14 @@ def sequence_chunk_on_nodes(
     return starts, ends
 
 
+def _awake_or_woken(node: SimulatedNode, now_s: float) -> bool:
+    """Whether ``node`` is awake, waking it first if it sleeps (a wake
+    may fail under a fault plan)."""
+    if not node.awake:
+        node.wake(now_s)
+    return node.awake
+
+
 class RoundRobinRouter(Router):
     """Spread placement over time: rotate arrivals across the fleet."""
 
@@ -176,21 +188,16 @@ class RoundRobinRouter(Router):
         super().prepare(nodes)
         self._next = 0
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
+    def route(self, sql, now_s, nodes) -> Decision:
         # Rotate past crashed/unavailable nodes; a full cycle with no
         # serviceable node refuses the arrival (the simulator's retry
         # policy takes over when a fault plan is active).
         for _ in range(len(nodes)):
             node = nodes[self._next % len(nodes)]
             self._next += 1
-            if not node.can_serve(now_s):
-                continue
-            if not node.awake:
-                # A recovered node rejoins through its wake transition.
-                node.wake(now_s)
-                if not node.awake:
-                    continue
-            return Decision(node, now_s)
+            # A recovered node rejoins through its wake transition.
+            if node.can_serve(now_s) and _awake_or_woken(node, now_s):
+                return Decision(node, now_s)
         return Decision(None, now_s)
 
     def route_chunk(self, times, sql_idx, service, distinct, nodes):
@@ -205,17 +212,31 @@ class RoundRobinRouter(Router):
 
 
 def earliest_completion_node(
-    nodes: list[SimulatedNode],
-    now_s: float,
-    service_by_node: dict[str, float],
-) -> SimulatedNode:
-    """The node that would finish the query soonest (ties: node order)."""
-    return min(
-        nodes,
-        key=lambda n: (
-            max(now_s, n.ready_s) + service_by_node[n.spec.name]
-        ),
-    )
+    nodes: list[SimulatedNode], now_s: float, sql: str,
+) -> SimulatedNode | None:
+    """The node that would finish ``sql`` soonest, woken if asleep;
+    None when no node is awake or wakes.
+
+    ``nodes`` are serviceable candidates.  ``min`` picks the earliest
+    completion ``max(now_s, ready_s) + service`` in one pass, and its
+    first-minimum rule is the node-order tie-break.  Only when that
+    node's wake fails (a fault plan) are the others tried, in stable
+    completion order; the failed node is skipped, so it spends no
+    second fault-RNG draw.
+    """
+    def completion(n: SimulatedNode) -> float:
+        ready = n.ready_s  # max(now_s, ready), without the call
+        return (ready if ready > now_s else now_s) + n.service[sql]
+
+    if not nodes:
+        return None
+    best = min(nodes, key=completion)
+    if _awake_or_woken(best, now_s):
+        return best
+    for node in sorted(nodes, key=completion):
+        if node is not best and _awake_or_woken(node, now_s):
+            return node
+    return None
 
 
 class LeastLoadedRouter(Router):
@@ -223,24 +244,11 @@ class LeastLoadedRouter(Router):
 
     placement_chunk = True
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
-        # Earliest completion first (stable, so fault-free runs pick
-        # the same node min() used to); a crashed-then-recovered node
-        # rejoins through its wake transition, and if the wake fails
-        # the next-best node takes the query.
-        pool = sorted(
-            (n for n in nodes if n.can_serve(now_s)),
-            key=lambda n: (
-                max(now_s, n.ready_s) + service_by_node[n.spec.name]
-            ),
-        )
-        for node in pool:
-            if not node.awake:
-                node.wake(now_s)
-                if not node.awake:
-                    continue
-            return Decision(node, now_s)
-        return Decision(None, now_s)
+    def route(self, sql, now_s, nodes) -> Decision:
+        # A crashed-then-recovered node rejoins through its wake
+        # transition; if the wake fails the next-best node takes it.
+        pool = [n for n in nodes if n.can_serve(now_s)]
+        return Decision(earliest_completion_node(pool, now_s, sql), now_s)
 
     def route_chunk(self, times, sql_idx, service, distinct, nodes,
                     eligible=None):
@@ -248,15 +256,14 @@ class LeastLoadedRouter(Router):
 
         Exact, not approximate: per arrival, the candidate completion
         vector ``max(busy, t) + service`` is the same float expression
-        the loop sorts on, and ``np.argmin`` returns the *first*
-        minimum -- the stable sort's node-order tie-break.  The state
-        recurrence stays sequential (each choice feeds the next) but
-        runs as O(nodes) array ops per arrival instead of building and
-        sorting a Python candidate list.
+        :func:`earliest_completion_node` minimizes, and ``np.argmin``
+        returns the *first* minimum -- its node-order tie-break.  The
+        state recurrence stays sequential (each choice feeds the next)
+        but runs as O(nodes) array ops per arrival.
 
         ``eligible`` (a ``(distinct, nodes)`` bool mask) expresses the
         placement constraint: ineligible completions become ``+inf``,
-        which reproduces the loop's sorted-subset choice exactly --
+        which reproduces the loop's choice over the subset exactly --
         node order is preserved, so the tie-break is unchanged.
         """
         busy = np.array([node.busy_until for node in nodes])
@@ -297,17 +304,12 @@ class HashSplitRouter(Router):
 
     placement_chunk = True
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
+    def route(self, sql, now_s, nodes) -> Decision:
         first = _stable_hash(sql) % len(nodes)
         for k in range(len(nodes)):
             node = nodes[(first + k) % len(nodes)]
-            if not node.can_serve(now_s):
-                continue
-            if not node.awake:
-                node.wake(now_s)
-                if not node.awake:
-                    continue
-            return Decision(node, now_s)
+            if node.can_serve(now_s) and _awake_or_woken(node, now_s):
+                return Decision(node, now_s)
         return Decision(None, now_s)
 
     def route_chunk(self, times, sql_idx, service, distinct, nodes,
@@ -371,23 +373,18 @@ class ConsolidateRouter(Router):
         for node in nodes:
             node.reset(awake=node.spec.name in awake_names)
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
+    def route(self, sql, now_s, nodes) -> Decision:
         usable = [n for n in nodes if n.can_serve(now_s)]
         awake = [n for n in usable if n.awake]
         for node in awake:
             backlog = (
-                max(node.ready_s, now_s) - now_s
-                + service_by_node[node.spec.name]
+                max(node.ready_s, now_s) - now_s + node.service[sql]
             )
             if backlog <= self.max_backlog_s * node.spec.capacity:
                 return Decision(node, now_s)
-        best_awake = (
-            earliest_completion_node(awake, now_s, service_by_node)
-            if awake else None
-        )
+        best_awake = earliest_completion_node(awake, now_s, sql)
         best_completion = (
-            max(now_s, best_awake.ready_s)
-            + service_by_node[best_awake.spec.name]
+            max(now_s, best_awake.ready_s) + best_awake.service[sql]
             if best_awake is not None else math.inf
         )
         # Cheapest wake first (stable, so fault-free runs pick the same
@@ -396,14 +393,12 @@ class ConsolidateRouter(Router):
         # awake node at all keep trying sleepers regardless of cost.
         sleepers = sorted(
             (n for n in usable if not n.awake),
-            key=lambda n: (
-                n.spec.wake_latency_s + service_by_node[n.spec.name]
-            ),
+            key=lambda n: n.spec.wake_latency_s + n.service[sql],
         )
         for candidate in sleepers:
             wake_completion = (
                 now_s + candidate.spec.wake_latency_s
-                + service_by_node[candidate.spec.name]
+                + candidate.service[sql]
             )
             if wake_completion >= best_completion:
                 break
@@ -477,14 +472,14 @@ class DynamicConsolidateRouter(ConsolidateRouter):
         self._gap_ewma: float | None = None
         self._service_ewma: float | None = None
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
-        self._observe(now_s, service_by_node, nodes)
+    def route(self, sql, now_s, nodes) -> Decision:
+        self._observe(sql, now_s, nodes)
         self._resize_awake_set(now_s, nodes)
-        return super().route(sql, now_s, service_by_node, nodes)
+        return super().route(sql, now_s, nodes)
 
     # -- load observation -------------------------------------------------
 
-    def _observe(self, now_s, service_by_node, nodes) -> None:
+    def _observe(self, sql, now_s, nodes) -> None:
         alpha = self.ewma_alpha
         if self._last_arrival_s is not None:
             gap = now_s - self._last_arrival_s
@@ -493,9 +488,7 @@ class DynamicConsolidateRouter(ConsolidateRouter):
                 else alpha * gap + (1 - alpha) * self._gap_ewma
             )
         self._last_arrival_s = now_s
-        service = sum(
-            service_by_node[n.spec.name] for n in nodes
-        ) / len(nodes)
+        service = sum(n.service[sql] for n in nodes) / len(nodes)
         self._service_ewma = (
             service if self._service_ewma is None
             else alpha * service + (1 - alpha) * self._service_ewma
@@ -632,28 +625,14 @@ class AdaptivePvcRouter(Router):
             node.set_setting(self.ladder[self._level[node.spec.name]],
                              0.0)
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
-        pool = sorted(
-            (n for n in nodes if n.can_serve(now_s)),
-            key=lambda n: (
-                max(now_s, n.ready_s) + service_by_node[n.spec.name]
-            ),
+    def route(self, sql, now_s, nodes) -> Decision:
+        node = earliest_completion_node(
+            [n for n in nodes if n.can_serve(now_s)], now_s, sql
         )
-        node = None
-        for candidate in pool:
-            if not candidate.awake:
-                # A recovered node rejoins through its wake transition.
-                candidate.wake(now_s)
-                if not candidate.awake:
-                    continue
-            node = candidate
-            break
         if node is None:
             return Decision(None, now_s)
         name = node.spec.name
-        projected = (
-            max(now_s, node.ready_s) - now_s + service_by_node[name]
-        )
+        projected = max(now_s, node.ready_s) - now_s + node.service[sql]
         level = self._level[name]
         stepped = ladder_step(level, projected, self.deadline_s,
                               len(self.ladder), self.slack_threshold)
@@ -684,9 +663,10 @@ class BatchPlacement:
     Splitting a batch keeps each shard mergeable (shards of a mergeable
     partition share its template).
 
-    ``service_by_node`` estimates one representative query of the batch
-    on every node -- enough for load comparison; the exact merged cost
-    is resolved per node when the shard is scheduled.
+    Load comparisons cost one representative query of the batch (its
+    first) from each node's service row -- enough for load comparison;
+    the exact merged cost is resolved per node when the shard is
+    scheduled.
     """
 
     def prepare(self, router: Router,
@@ -702,7 +682,7 @@ class BatchPlacement:
         return getattr(self.router, "placement", None)
 
     def place(self, batch, merged, now_s: float,
-              service_by_node, nodes: list[SimulatedNode]):
+              nodes: list[SimulatedNode]):
         """``[(node, queries), ...]`` covering every query in ``batch``
         exactly once (empty list: shed the whole batch).  Under a
         placement map the simulator pre-groups batches by shard and
@@ -719,32 +699,21 @@ class BatchPlacement:
         awake = [n for n in pool if n.awake]
         return awake or pool
 
-    def _place_least_loaded(self, batch, now_s, service_by_node, nodes):
+    def _place_least_loaded(self, batch, now_s, nodes):
         """Whole batch to the earliest-completion usable node; a
         sleeper whose wake fails under a fault plan is skipped, and an
         empty list sheds the batch into the simulator's retry path."""
-        pool = sorted(
-            self._usable(nodes, now_s),
-            key=lambda n: (
-                max(now_s, n.ready_s) + service_by_node[n.spec.name]
-            ),
+        node = earliest_completion_node(
+            self._usable(nodes, now_s), now_s, batch.queries[0].sql
         )
-        for node in pool:
-            if not node.awake:
-                node.wake(now_s)
-            if not node.awake:
-                continue
-            return [(node, batch.queries)]
-        return []
+        return [] if node is None else [(node, batch.queries)]
 
 
 class LeastLoadedPlacement(BatchPlacement):
     """The whole batch goes to the awake node finishing it soonest."""
 
-    def place(self, batch, merged, now_s, service_by_node, nodes):
-        return self._place_least_loaded(
-            batch, now_s, service_by_node, nodes
-        )
+    def place(self, batch, merged, now_s, nodes):
+        return self._place_least_loaded(batch, now_s, nodes)
 
 
 class ConsolidatePlacement(BatchPlacement):
@@ -758,10 +727,8 @@ class ConsolidatePlacement(BatchPlacement):
     awake set shrink below what per-arrival routing sustains.
     """
 
-    def place(self, batch, merged, now_s, service_by_node, nodes):
-        decision = self.router.route(
-            batch.queries[0].sql, now_s, service_by_node, nodes
-        )
+    def place(self, batch, merged, now_s, nodes):
+        decision = self.router.route(batch.queries[0].sql, now_s, nodes)
         if decision.node is None:
             return []
         return [(decision.node, batch.queries)]
@@ -784,32 +751,27 @@ class HashSplitPlacement(BatchPlacement):
             raise ValueError("fanout must be >= 1")
         self.fanout = fanout
 
-    def place(self, batch, merged, now_s, service_by_node, nodes):
+    def place(self, batch, merged, now_s, nodes):
         if self.placement is not None:
             # Real shard routing: the simulator has already split the
             # dispatched batch by shard and narrowed ``nodes`` to the
             # owning replica set, so the remaining decision is which
             # live replica serves the piece -- the least-loaded one.
-            return self._place_least_loaded(
-                batch, now_s, service_by_node, nodes
-            )
+            return self._place_least_loaded(batch, now_s, nodes)
+        sql = batch.queries[0].sql
         targets = sorted(
             self._usable(nodes, now_s),
             key=lambda n: (
-                max(now_s, n.ready_s) + service_by_node[n.spec.name],
-                n.spec.name,
+                max(now_s, n.ready_s) + n.service[sql], n.spec.name,
             ),
         )
         if not targets:
             return []
         k = min(len(targets), self.fanout or len(targets), batch.size)
         if merged is None or not merged.hash_routable or k < 2:
-            for node in targets:
-                if not node.awake:
-                    node.wake(now_s)
-                if not node.awake:  # wake failed; try the next target
-                    continue
-                return [(node, batch.queries)]
+            for node in targets:  # a failed wake tries the next target
+                if _awake_or_woken(node, now_s):
+                    return [(node, batch.queries)]
             return []
         targets = targets[:k]
         shards: list[list] = [[] for _ in range(k)]
@@ -822,9 +784,7 @@ class HashSplitPlacement(BatchPlacement):
         for node, shard in zip(targets, shards):
             if not shard:
                 continue
-            if not node.awake:
-                node.wake(now_s)
-            if not node.awake:  # wake failed; reassign this shard
+            if not _awake_or_woken(node, now_s):  # reassign this shard
                 orphans.extend(shard)
                 continue
             out.append((node, shard))
@@ -893,24 +853,20 @@ class PowerCapRouter(Router):
                 "cap leaves no headroom for any node to serve a query"
             )
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
+    def route(self, sql, now_s, nodes) -> Decision:
         # Completed windows can never constrain future placements.
         self._intervals = [
             iv for iv in self._intervals if iv.end_s > now_s
         ]
         best: tuple[float, float, SimulatedNode] | None = None
         for node in nodes:
-            if not node.can_serve(now_s):
+            # A recovered node rejoins through its wake transition.
+            if not (node.can_serve(now_s) and _awake_or_woken(node, now_s)):
                 continue
-            if not node.awake:
-                # A recovered node rejoins through its wake transition.
-                node.wake(now_s)
-                if not node.awake:
-                    continue
             delta = self._deltas[node.spec.name]
             if self._baseline_w + delta > self.cap_w:
                 continue  # this node alone would breach the cap
-            service = service_by_node[node.spec.name]
+            service = node.service[sql]
             s0 = max(now_s, node.ready_s)
             start = self._earliest_feasible(s0, service, delta)
             if (

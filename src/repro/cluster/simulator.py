@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from repro.cluster.measure import (
     ShedQuery,
 )
 from repro.cluster.node import (
+    CostKey,
     NodeSpec,
     SimulatedNode,
     SUT_FACTORIES,
@@ -81,10 +82,6 @@ from repro.hardware.trace import CompiledTrace
 from repro.workloads.arrivals import Arrival
 from repro.workloads.client import ClientModel
 from repro.workloads.runner import TraceCache, WorkloadRunner
-
-#: Key under which a query's duration is pre-costed: the node's
-#: hardware profile plus the PVC setting it currently holds.
-CostKey = tuple[str, PvcSetting]
 
 
 @dataclass(frozen=True)
@@ -181,42 +178,6 @@ class ClusterSchedule:
         if self.columnar is not None:
             return len(self.columnar)
         return sum(len(p) for p in self.pieces_by_node.values())
-
-
-class _ServiceView(Mapping):
-    """Live node-name -> service-time mapping for one statement.
-
-    Reads each node's *current* PVC setting on every lookup, so a
-    router that retunes a node mid-stream (``AdaptivePvcRouter``)
-    immediately sees -- and the simulator immediately schedules --
-    service times under the new setting.  Routers index it exactly like
-    the plain dict it replaces.
-    """
-
-    __slots__ = ("_durations", "_nodes", "_sql")
-
-    def __init__(self, durations: dict[CostKey, dict[str, float]],
-                 nodes: dict[str, SimulatedNode], sql: str):
-        self._durations = durations
-        self._nodes = nodes
-        self._sql = sql
-
-    def __getitem__(self, name: str) -> float:
-        node = self._nodes[name]
-        try:
-            return self._durations[(node.spec.hw, node.setting)][self._sql]
-        except KeyError:
-            raise KeyError(
-                f"no pre-costed duration for node {name!r} under setting "
-                f"{node.setting.describe()!r}; routers that retune nodes "
-                "must expose the settings they use via a `ladder` attribute"
-            ) from None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
 
 
 class ClusterSimulator:
@@ -377,7 +338,12 @@ class ClusterSimulator:
         """Pre-cost each distinct query per (hw, setting) pair: one
         stacked call per pair replaces a per-(query, node) loop.  The
         full per-distinct measurements ride along so columnar playback
-        can reuse them as counts-times-measurement dot products."""
+        can reuse them as counts-times-measurement dot products.
+
+        Every node gets the table (``node.costs``); the router's
+        ``prepare`` resets each node onto the row of its own setting
+        (``node.service``), and a retune swaps the row.
+        """
         distinct = list(table)
         durations: dict[CostKey, dict[str, float]] = {}
         costed: dict[CostKey, list] = {}
@@ -395,6 +361,8 @@ class ClusterSimulator:
                 sql: m.duration_s for sql, m in zip(distinct, batch)
             }
             costed[(hw, setting)] = batch
+        for node in self.nodes:
+            node.costs = durations
         return durations, costed
 
     def vectorized_ineligibility(self) -> str | None:
@@ -503,7 +471,7 @@ class ClusterSimulator:
         self._eligible_cache[sql] = (self._owner_gen, pool)
         return pool
 
-    def _route(self, sql: str, now_s: float, service_by_node) -> Decision:
+    def _route(self, sql: str, now_s: float) -> Decision:
         """Route one arrival through the placement constraint.
 
         The router sees only the eligible replica set (in fleet order,
@@ -514,11 +482,10 @@ class ClusterSimulator:
         """
         pool = self._eligible_nodes(sql)
         if pool is None:
-            return self.router.route(sql, now_s, service_by_node,
-                                     self.nodes)
+            return self.router.route(sql, now_s, self.nodes)
         if not pool:
             return Decision(None, now_s)
-        return self.router.route(sql, now_s, service_by_node, pool)
+        return self.router.route(sql, now_s, pool)
 
     def _eligibility_mask(self, distinct: list[str]) -> np.ndarray | None:
         """The ``(distinct, nodes)`` bool mask for masked route_chunk,
@@ -606,17 +573,7 @@ class ClusterSimulator:
             self._next_sample_s = 0.0
 
         table = self._execute_once_table(arrivals)
-        distinct = list(table)
-        durations, _costed = self._precost(table, workload_class)
-
-        # Per-distinct-SQL live service views, shared across arrivals
-        # (the event loop would otherwise rebuild an identical mapping
-        # ~10k times); routers only read them.
-        nodes_by_name = {node.spec.name: node for node in self.nodes}
-        service_views = {
-            sql: _ServiceView(durations, nodes_by_name, sql)
-            for sql in distinct
-        }
+        self._precost(table, workload_class)
 
         # Fault layer: install the plan on every node *before* the
         # router's prepare (node resets preserve it), seed the run's
@@ -650,9 +607,7 @@ class ClusterSimulator:
                     self._fault_seq += 1
             self._retries: list = []
             self._retry_seq = 0
-            self._retry_ctx = (
-                table, durations, service_views, workload_class, shed
-            )
+            self._retry_ctx = (table, workload_class, shed)
 
         self.router.prepare(self.nodes)
         qed: QedReport | None = None
@@ -660,8 +615,8 @@ class ClusterSimulator:
         if self.master_queue is not None:
             qed = QedReport(mode="master")
             self._run_master_loop(
-                arrivals, end_of_arrivals, table, durations,
-                service_views, workload_class, shed, qed,
+                arrivals, end_of_arrivals, table, workload_class, shed,
+                qed,
             )
         else:
             queued = [n for n in self.nodes if n.queue is not None]
@@ -680,11 +635,9 @@ class ClusterSimulator:
                     batch = self._expire_queue(node, now)
                     if batch is not None:
                         self._dispatch_node_batch(
-                            node, batch, table, durations,
-                            workload_class, qed,
+                            node, batch, table, workload_class, qed,
                         )
-                service_by_node = service_views[arrival.sql]
-                decision = self._route(arrival.sql, now, service_by_node)
+                decision = self._route(arrival.sql, now)
                 if decision.node is None:
                     if active:
                         # No serviceable node right now; the retry
@@ -699,8 +652,7 @@ class ClusterSimulator:
                     batch = node.queue.submit(arrival.sql, now)
                     if batch is not None:
                         self._dispatch_node_batch(
-                            node, batch, table, durations,
-                            workload_class, qed,
+                            node, batch, table, workload_class, qed,
                         )
                 else:
                     if tracing and decision.dispatch_s - now > 1e-12:
@@ -713,15 +665,13 @@ class ClusterSimulator:
                         )
                     node.assign(
                         arrival.sql, decision.dispatch_s,
-                        service_by_node[node.spec.name],
-                        ((arrival.sql, now),),
+                        node.service[arrival.sql], ((arrival.sql, now),),
                     )
             for node in queued:  # trailing partial batches drain
                 batch = node.queue.drain(end_of_arrivals)
                 if batch is not None:
                     self._dispatch_node_batch(
-                        node, batch, table, durations, workload_class,
-                        qed,
+                        node, batch, table, workload_class, qed,
                     )
 
         if active:
@@ -928,6 +878,10 @@ class ClusterSimulator:
         run_id = run_id_for(fingerprint)
         self._fault_active = False
         self._fault_report = None
+        for node in self.nodes:
+            # Nothing is costed for an empty stream; a previous run's
+            # table need not hold this router's settings.
+            node.costs = None
         self.router.prepare(self.nodes)
         if self.tracer.enabled:
             self.tracer.begin_run(
@@ -1107,7 +1061,7 @@ class ClusterSimulator:
         source stay under-replicated: queries for them keep retrying
         until recovery or dead-letter, never silently dropping rows.
         """
-        table, durations, _views, workload_class, _shed = self._retry_ctx
+        table, workload_class, _shed = self._retry_ctx
         report = self._fault_report
         for key in sorted(crashed.shards or ()):
             tname, shard = key
@@ -1142,7 +1096,7 @@ class ClusterSimulator:
                 )
             for endpoint in (source, dest):
                 service = self._duration_for(
-                    endpoint, copy_key, table, durations, workload_class
+                    endpoint, copy_key, table, workload_class
                 )
                 endpoint.assign(copy_key, at_s, service, ())
                 report.copy_s += service
@@ -1195,15 +1149,11 @@ class ClusterSimulator:
         query's *original* arrival time, so its response time includes
         the whole ordeal.  A failed attempt backs off again until the
         policy dead-letters it: shed, with accounting."""
-        table, durations, service_views, workload_class, shed = (
-            self._retry_ctx
-        )
-        decision = self._route(sql, ready_s, service_views[sql])
+        table, workload_class, shed = self._retry_ctx
+        decision = self._route(sql, ready_s)
         node = decision.node
         if node is not None and node.awake and node.can_serve(ready_s):
-            service = self._duration_for(
-                node, sql, table, durations, workload_class
-            )
+            service = self._duration_for(node, sql, table, workload_class)
             node.assign(
                 sql, decision.dispatch_s, service, ((sql, arrival_s),)
             )
@@ -1268,8 +1218,6 @@ class ClusterSimulator:
         arrivals: list[Arrival],
         end_of_arrivals: float,
         table: dict[str, CompiledTrace],
-        durations: dict[CostKey, dict[str, float]],
-        service_views: dict[str, "_ServiceView"],
         workload_class: str,
         shed: list[ShedQuery],
         qed: QedReport,
@@ -1298,26 +1246,21 @@ class ClusterSimulator:
                 self._advance_faults(now)
             for dispatched in self.master_queue.expired(now):
                 self._place_dispatched(
-                    dispatched, table, durations, service_views,
-                    workload_class, shed, qed,
+                    dispatched, table, workload_class, shed, qed,
                 )
             for dispatched in self.master_queue.submit(arrival.sql, now):
                 self._place_dispatched(
-                    dispatched, table, durations, service_views,
-                    workload_class, shed, qed,
+                    dispatched, table, workload_class, shed, qed,
                 )
         for dispatched in self.master_queue.drain(end_of_arrivals):
             self._place_dispatched(
-                dispatched, table, durations, service_views,
-                workload_class, shed, qed,
+                dispatched, table, workload_class, shed, qed,
             )
 
     def _place_dispatched(
         self,
         dispatched: DispatchedBatch,
         table: dict[str, CompiledTrace],
-        durations: dict[CostKey, dict[str, float]],
-        service_views: dict[str, "_ServiceView"],
         workload_class: str,
         shed: list[ShedQuery],
         qed: QedReport,
@@ -1348,7 +1291,6 @@ class ClusterSimulator:
             else:
                 assignments = self.master_queue.placement.place(
                     group_batch, group_merged, group_batch.dispatch_s,
-                    service_views[group_batch.queries[0].sql],
                     self.nodes if pool is None else pool,
                 )
             if not assignments:
@@ -1374,8 +1316,7 @@ class ClusterSimulator:
                     else Batch(list(queries), group_batch.dispatch_s)
                 )
                 self._schedule_batch(
-                    node, shard, table, durations, workload_class,
-                    stats=stats,
+                    node, shard, table, workload_class, stats=stats,
                     merged=(
                         group_merged if shard is group_batch else None
                     ),
@@ -1428,7 +1369,6 @@ class ClusterSimulator:
         node: SimulatedNode,
         batch: Batch,
         table: dict[str, CompiledTrace],
-        durations: dict[CostKey, dict[str, float]],
         workload_class: str,
         qed: QedReport | None,
     ) -> None:
@@ -1441,7 +1381,7 @@ class ClusterSimulator:
             self.metrics.counter("qed_batches").inc()
             self.metrics.histogram("batch_size").observe(batch.size)
         self._schedule_batch(
-            node, batch, table, durations, workload_class, stats=stats,
+            node, batch, table, workload_class, stats=stats,
         )
 
     def _assign_singletons(
@@ -1450,7 +1390,6 @@ class ClusterSimulator:
         queries: tuple[QueuedQuery, ...] | list[QueuedQuery],
         dispatch_s: float,
         table: dict[str, CompiledTrace],
-        durations: dict[CostKey, dict[str, float]],
         workload_class: str,
     ) -> None:
         """Serve queries back-to-back as plain single executions.
@@ -1462,7 +1401,7 @@ class ClusterSimulator:
         """
         for query in queries:
             service = self._duration_for(
-                node, query.sql, table, durations, workload_class
+                node, query.sql, table, workload_class
             )
             node.assign(
                 query.sql, dispatch_s, service,
@@ -1474,33 +1413,32 @@ class ClusterSimulator:
         node: SimulatedNode,
         key: str,
         table: dict[str, CompiledTrace],
-        durations: dict[CostKey, dict[str, float]],
         workload_class: str,
     ) -> float:
         """``key``'s service time under the node's *current* setting.
 
-        Served from the pre-costed table when possible; costed on
-        demand (and memoized) for trace keys or settings the pre-pass
-        could not know about -- merged-batch SQL, retuned nodes.
+        Served from the node's pre-costed row when possible; costed on
+        demand (and memoized in the row, shared by every node holding
+        the same ``(hw, setting)``) for trace keys the pre-pass could
+        not know about -- merged-batch SQL, re-replication copies.
         """
-        per_key = durations.setdefault((node.spec.hw, node.setting), {})
-        if key not in per_key:
+        row = node.service
+        if key not in row:
             original = node.sut.setting
             node.sut.apply_setting(node.setting)
             try:
-                per_key[key] = node.sut.run_compiled(
+                row[key] = node.sut.run_compiled(
                     table[key], workload_class
                 ).duration_s
             finally:
                 node.sut.apply_setting(original)
-        return per_key[key]
+        return row[key]
 
     def _schedule_batch(
         self,
         node: SimulatedNode,
         batch: Batch,
         table: dict[str, CompiledTrace],
-        durations: dict[CostKey, dict[str, float]],
         workload_class: str,
         stats: QedPartitionStats | None = None,
         merged=None,
@@ -1524,7 +1462,7 @@ class ClusterSimulator:
         if batch.size == 1:
             self._assign_singletons(
                 node, batch.queries, batch.dispatch_s, table,
-                durations, workload_class,
+                workload_class,
             )
             if stats is not None:
                 stats.singleton_windows += 1
@@ -1535,7 +1473,7 @@ class ClusterSimulator:
             except NotMergeableError:
                 self._assign_singletons(
                     node, batch.queries, batch.dispatch_s, table,
-                    durations, workload_class,
+                    workload_class,
                 )
                 if stats is not None:
                     stats.fallback_batches += 1
@@ -1548,9 +1486,7 @@ class ClusterSimulator:
             )
             table[key] = trace.compiled()
             execution.release_result()
-        service = self._duration_for(
-            node, key, table, durations, workload_class
-        )
+        service = self._duration_for(node, key, table, workload_class)
         work = node.assign(
             key, batch.dispatch_s, service,
             tuple((q.sql, q.arrival_s) for q in batch.queries),

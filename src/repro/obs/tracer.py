@@ -20,8 +20,7 @@ pays only dead branch checks.  :class:`SpanTracer` records everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 #: Phases that end a query's life.  Every arrival gets exactly one.
 TERMINAL_PHASES = ("served", "shed", "dead-letter")
@@ -30,9 +29,13 @@ TERMINAL_PHASES = ("served", "shed", "dead-letter")
 MASTER_TRACK = "master"
 
 
-@dataclass(frozen=True)
-class Span:
-    """One trace record: a duration span or an instant on a track."""
+class Span(NamedTuple):
+    """One trace record: a duration span or an instant on a track.
+
+    A named tuple rather than a frozen dataclass: a traced run builds
+    several records per arrival, and a tuple is the cheapest immutable
+    record to construct.
+    """
 
     span_id: int
     parent_id: int | None
@@ -40,7 +43,7 @@ class Span:
     track: str
     start_s: float
     end_s: float
-    args: dict = field(default_factory=dict)
+    args: dict
 
     @property
     def duration_s(self) -> float:
@@ -123,7 +126,6 @@ class SpanTracer(Tracer):
         self.metadata: dict = dict(metadata)
         self.spans: list[Span] = []
         self.horizon_s: float = 0.0
-        self._next_id = 1
         #: (sql, arrival_s) -> arrival span id, the parent of every
         #: later record in that query's causal chain.
         self._arrival_ids: dict[tuple[str, float], int] = {}
@@ -132,12 +134,12 @@ class SpanTracer(Tracer):
 
     def _record(self, name: str, track: str, start_s: float,
                 end_s: float, parent: int | None, args: dict) -> int:
-        span_id = self._next_id
-        self._next_id += 1
-        self.spans.append(Span(
-            span_id=span_id, parent_id=parent, name=name, track=track,
-            start_s=start_s, end_s=end_s, args=args,
-        ))
+        """Append one record; ids count up from 1 in record order."""
+        spans = self.spans
+        span_id = len(spans) + 1
+        spans.append(
+            Span(span_id, parent, name, track, start_s, end_s, args)
+        )
         return span_id
 
     def instant(self, name: str, track: str, t_s: float,
@@ -149,7 +151,9 @@ class SpanTracer(Tracer):
         return self._record(name, track, start_s, end_s, parent, args)
 
     def arrival(self, sql: str, t_s: float) -> int:
-        span_id = self.instant("arrival", MASTER_TRACK, t_s, sql=sql)
+        span_id = self._record(
+            "arrival", MASTER_TRACK, t_s, t_s, None, {"sql": sql}
+        )
         self._arrival_ids[(sql, t_s)] = span_id
         return span_id
 
@@ -178,9 +182,9 @@ class SpanTracer(Tracer):
                  **args: Any) -> int:
         if name not in TERMINAL_PHASES:
             raise ValueError(f"{name!r} is not a terminal phase")
-        return self.instant(
-            name, track, t_s, parent=self.parent_of(sql, arrival_s),
-            sql=sql, arrival_s=arrival_s, **args,
+        return self._record(
+            name, track, t_s, t_s, self._arrival_ids.get((sql, arrival_s)),
+            {"sql": sql, "arrival_s": arrival_s, **args},
         )
 
     def finish(self, horizon_s: float) -> None:
