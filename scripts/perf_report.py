@@ -200,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         scale_factor=args.sf, trace_cache=trace_cache,
     )
     print(f"schedule phase        : {cluster.schedule_wall_s:8.3f} s")
-    print(f"batched playback      : {cluster.batched_wall_s:8.3f} s")
+    print(f"production playback   : {cluster.batched_wall_s:8.3f} s")
     print(f"per-query replay loop : {cluster.loop_wall_s:8.3f} s")
     print(f"playback speedup      : {cluster.speedup:.1f}x "
           f"(end-to-end {cluster.end_to_end_speedup:.1f}x)")
@@ -317,6 +317,10 @@ def main(argv: list[str] | None = None) -> int:
         "sched_arrivals": sched.arrivals,
         "sched_legacy_wall_s": sched.legacy_schedule_wall_s,
         "sched_vectorized_wall_s": sched.vectorized_schedule_wall_s,
+        "sched_legacy_spread_s": sched.legacy_schedule_spread_s,
+        "sched_vectorized_spread_s": sched.vectorized_schedule_spread_s,
+        "sched_fast_repeats": sched.fast_repeats,
+        "sched_slow_repeats": sched.slow_repeats,
         "sched_max_rel_diff": sched.max_rel_diff,
         "sched_run_id": sched.run_id,
         "tier_nodes": tier.nodes,

@@ -126,6 +126,7 @@ def _load_fleet(path: str):
 
     from repro.cluster import NodeGroup, hetero_fleet
     from repro.cluster.faults import json_number
+    from repro.cluster.node import NODE_BOUNDS, node_bound_error
     from repro.hardware.cpu import PvcSetting, VoltageDowngrade
 
     with open(path) as handle:
@@ -159,6 +160,12 @@ def _load_fleet(path: str):
                 ("sleep_wall_w", 3.5), ("wake_latency_s", 30.0),
             )
         }
+        for key in NODE_BOUNDS:
+            problem = node_bound_error(key, numbers[key])
+            if problem is not None:
+                raise ValueError(
+                    f"{path}.{key}: {problem}, got {numbers[key]:g}"
+                )
         try:
             groups.append(NodeGroup(
                 count=int(count),
@@ -229,7 +236,7 @@ def cmd_cluster(args) -> int:
     from repro.core.qed.policy import BatchPolicy
     from repro.db.profiles import mysql_profile
     from repro.workloads.runner import TraceCache
-    from repro.workloads.selection import selection_workload
+    from repro.workloads.selection import QUANTITY_MAX, selection_workload
     from repro.workloads.tpch.generator import tpch_database
 
     if args.qed_batch is not None and args.qed_threshold is not None:
@@ -322,6 +329,15 @@ def cmd_cluster(args) -> int:
     # Validate every flag-derived object *before* the expensive
     # database build so bad flags fail fast with a clean message.
     try:
+        if args.arrivals < 0:
+            raise ValueError(
+                f"--arrivals must be non-negative, got {args.arrivals}"
+            )
+        if not 1 <= args.distinct <= QUANTITY_MAX:
+            raise ValueError(
+                f"--distinct must be in 1..{QUANTITY_MAX}, "
+                f"got {args.distinct}"
+            )
         queries = selection_workload(args.distinct).queries
         stream, schedule = _build_stream(args, queries)
         if args.policy == "spread":

@@ -12,11 +12,14 @@ control, power-cap.  QED can instead run the paper's actual deployment
 design: a :class:`MasterQueue` on the always-on coordinator partitions
 the whole arrival stream by mergeable template and hands merged
 batches to a :class:`BatchPlacement` policy (least-loaded,
-consolidate-cooperating, or hash-split across nodes).  Fleets may be heterogeneous: node groups differ
-in hardware profile, PVC setting, capacity, and sleep/wake
-characteristics.  The hot path is batched compiled-trace playback:
-every node's whole timeline plays as one stacked array operation per
-distinct (hardware profile, setting) pair.
+consolidate-cooperating, or hash-split across nodes).  Fleets may be
+heterogeneous: node groups differ in hardware profile, PVC setting,
+capacity, and sleep/wake characteristics.  Playback is one path: every
+schedule is a :class:`ColumnarSchedule` that :func:`play_columnar`
+bills against measurements pre-costed per (hardware profile, setting);
+:func:`play_loop` is the per-piece oracle, and :func:`play_batched`
+stays as the stacked-piece reference the conservation tests and the
+benchmark's per-layer ledger name.
 """
 
 from repro.cluster.faults import (

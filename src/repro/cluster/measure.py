@@ -226,13 +226,14 @@ class FaultReport:
 
 @dataclass(frozen=True)
 class ResponseColumns:
-    """Served queries in structure-of-arrays form (vectorized playback).
+    """Served queries in structure-of-arrays form, sorted by (arrival,
+    completion): per-query arrays plus the statement and node-name
+    tables the index columns point into.
 
-    The columnar analogue of a measurement's ``responses`` list, sorted
-    by (arrival, completion): per-query arrays plus the distinct-template
-    and node-name tables the index columns point into.  A 1M-arrival run
-    cannot afford per-query objects, so every consumer -- percentiles,
-    SLA accounting, phase windows -- reads these arrays directly.
+    A 1M-arrival run cannot afford per-query objects, so every consumer
+    -- percentiles, SLA accounting, phase windows -- reads these arrays
+    directly; iterating yields :class:`QueryResponse` rows (identity
+    tests and small-run inspection).
     """
 
     distinct: tuple[str, ...]
@@ -243,6 +244,22 @@ class ResponseColumns:
     start_s: np.ndarray
     completion_s: np.ndarray
 
+    @classmethod
+    def from_rows(cls, rows: list[QueryResponse]) -> "ResponseColumns":
+        """Columns for hand-built rows, kept in the order given."""
+        sqls = tuple(dict.fromkeys(r.sql for r in rows))
+        names = tuple(dict.fromkeys(r.node for r in rows))
+        times = np.array(
+            [(r.arrival_s, r.start_s, r.completion_s) for r in rows],
+            dtype=np.float64,
+        ).reshape(-1, 3)
+        return cls(
+            sqls, names,
+            np.array([sqls.index(r.sql) for r in rows], dtype=np.intp),
+            np.array([names.index(r.node) for r in rows], dtype=np.intp),
+            times[:, 0], times[:, 1], times[:, 2],
+        )
+
     def __len__(self) -> int:
         return len(self.arrival_s)
 
@@ -251,12 +268,7 @@ class ResponseColumns:
         """Full sojourn time per query: arrival to completion."""
         return self.completion_s - self.arrival_s
 
-    def iter_responses(self):
-        """Materialize :class:`QueryResponse` objects row by row.
-
-        For identity tests and small-run inspection only -- the point
-        of the columnar form is that large runs never do this.
-        """
+    def __iter__(self) -> Iterator[QueryResponse]:
         for k in range(len(self.arrival_s)):
             yield QueryResponse(
                 sql=self.distinct[int(self.sql_idx[k])],
@@ -271,12 +283,11 @@ class ResponseColumns:
 class NodeUsage:
     """One node's share of a cluster run.
 
-    The span fields carry the node's timeline shape (busy windows,
-    sleep spans, wake transitions, each as ``(start_s, end_s)`` pairs)
-    plus its linear power envelope, so phase-sliced reporting can
-    attribute modeled energy to arbitrary time windows after the fact.
-    A vectorized run carries its busy windows as a ``(starts, ends)``
-    array pair in ``busy_columns`` instead of materializing tuples.
+    The span fields carry the node's timeline shape -- busy windows as
+    a ``(starts, ends)`` array pair, sleep spans and wake transitions
+    as ``(start_s, end_s)`` pairs -- plus its linear power envelope, so
+    phase-sliced reporting can attribute modeled energy to arbitrary
+    time windows after the fact.
     """
 
     name: str
@@ -287,14 +298,13 @@ class NodeUsage:
     horizon_s: float
     playback: RunMeasurement
     sleep_joules: float
+    busy_columns: tuple[np.ndarray, np.ndarray]
     re_sleeps: int = 0
-    busy_windows: tuple[tuple[float, float], ...] = ()
     sleep_spans: tuple[tuple[float, float], ...] = ()
     wake_spans: tuple[tuple[float, float], ...] = ()
     idle_wall_w: float = 0.0
     busy_wall_w: float = 0.0
     sleep_wall_w: float = 0.0
-    busy_columns: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def idle_s(self) -> float:
@@ -385,7 +395,7 @@ def _overlap(spans, lo: float, hi: float) -> float:
 def _overlap_columns(
     starts: np.ndarray, ends: np.ndarray, lo: float, hi: float
 ) -> float:
-    """Vectorized :func:`_overlap` for SoA ``(starts, ends)`` windows."""
+    """:func:`_overlap` for SoA ``(starts, ends)`` windows."""
     return float(
         np.clip(
             np.minimum(ends, hi) - np.maximum(starts, lo), 0.0, None
@@ -399,7 +409,9 @@ class ClusterMeasurement:
 
     horizon_s: float
     nodes: list[NodeUsage]
-    responses: list[QueryResponse]
+    #: Served queries; a :class:`QueryResponse` list passed here (a
+    #: hand-built measurement) is converted on construction.
+    responses: ResponseColumns
     shed: list[ShedQuery] = field(default_factory=list)
     peak_power_w: float = 0.0
     cap_w: float | None = None
@@ -410,10 +422,10 @@ class ClusterMeasurement:
     #: simulator so reports and bench history are attributable.
     run_id: str | None = None
     fingerprint: dict | None = None
-    #: Vectorized runs keep served queries columnar here and leave
-    #: ``responses`` empty; every consumer below reads whichever form
-    #: is present.
-    response_columns: ResponseColumns | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.responses, ResponseColumns):
+            self.responses = ResponseColumns.from_rows(self.responses)
 
     # -- energy -----------------------------------------------------------
 
@@ -468,27 +480,19 @@ class ClusterMeasurement:
 
     @property
     def served(self) -> int:
-        if self.response_columns is not None:
-            return len(self.response_columns)
         return len(self.responses)
 
     def iter_responses(self) -> Iterator[QueryResponse]:
-        """Every served query as a :class:`QueryResponse`, whichever
-        form the run produced (columnar runs materialize row by row --
-        identity tests and small-run inspection only)."""
-        if self.response_columns is not None:
-            yield from self.response_columns.iter_responses()
-        else:
-            yield from self.responses
+        """Every served query as a :class:`QueryResponse`, materialized
+        row by row (identity tests and small-run inspection only)."""
+        return iter(self.responses)
 
     @cached_property
     def _response_values(self) -> np.ndarray:
         """Response times as one array (memoized; every percentile and
         mean reads it, and the measurement is effectively immutable
         once composed)."""
-        if self.response_columns is not None:
-            return self.response_columns.response_s
-        return np.array([r.response_s for r in self.responses])
+        return self.responses.response_s
 
     def response_percentile(self, q: float) -> float:
         if self.served == 0:
@@ -533,19 +537,20 @@ class ClusterMeasurement:
         if sla_s < 0:
             raise ValueError("sla_s must be non-negative")
         affected = self.faults.affected if self.faults else set()
-        totals = {True: 0, False: 0}
-        met = {True: 0, False: 0}
-        if self.response_columns is not None:
-            # Vectorized runs never carry a fault plan, so every served
-            # query sits on the unaffected side.
-            values = self._response_values
-            totals[False] = int(values.size)
-            met[False] = int((values <= sla_s).sum())
-        else:
-            for r in self.responses:
-                side = (r.sql, r.arrival_s) in affected
-                totals[side] += 1
-                met[side] += r.response_s <= sla_s
+        values = self._response_values
+        hit = np.zeros(values.size, dtype=bool)
+        if affected:
+            r = self.responses
+            hit[:] = [
+                (r.distinct[d], a) in affected
+                for d, a in zip(r.sql_idx.tolist(), r.arrival_s.tolist())
+            ]
+        on_time = values <= sla_s
+        totals = {True: int(hit.sum()), False: int((~hit).sum())}
+        met = {
+            True: int((on_time & hit).sum()),
+            False: int((on_time & ~hit).sum()),
+        }
         for q in self.shed:
             totals[(q.sql, q.arrival_s) in affected] += 1
         return {
@@ -617,17 +622,8 @@ class ClusterMeasurement:
             max(1, int(np.ceil(self.horizon_s / window_s - 1e-9)))
             if self.horizon_s > 0 else 1
         )
-        # Response times as arrays once, outside the window sweep
-        # (columnar runs already carry them; legacy lists convert
-        # here), so slicing is O(windows x nodes + responses).
-        if self.response_columns is not None:
-            r_arrival = self.response_columns.arrival_s
-            r_completion = self.response_columns.completion_s
-        else:
-            r_arrival = np.array([r.arrival_s for r in self.responses])
-            r_completion = np.array(
-                [r.completion_s for r in self.responses]
-            )
+        r_arrival = self.responses.arrival_s
+        r_completion = self.responses.completion_s
         r_values = r_completion - r_arrival
         out: list[PhaseWindow] = []
         for k in range(count):
@@ -653,10 +649,7 @@ class ClusterMeasurement:
             busy = wake = sleep = joules = 0.0
             re_sleeps = 0
             for n in self.nodes:
-                if n.busy_columns is not None:
-                    b = _overlap_columns(*n.busy_columns, lo, hi)
-                else:
-                    b = _overlap(n.busy_windows, lo, hi)
+                b = _overlap_columns(*n.busy_columns, lo, hi)
                 w = _overlap(n.wake_spans, lo, hi)
                 s = _overlap(n.sleep_spans, lo, hi)
                 busy += b

@@ -5,8 +5,8 @@ Each cluster node is the paper's machine (or any
 operating point, with an optional per-node QED admission queue and a
 sleep state for the consolidate policies.  The node tracks *when* things
 happen (busy windows, wake transitions, sleep spans); *what* they cost
-is resolved later by batched compiled-trace playback
-(:mod:`repro.cluster.playback`).
+is resolved later by columnar playback (:mod:`repro.cluster.playback`)
+over the segments :func:`timeline_segments` walks.
 
 Sleep model: a node alternates between asleep spans (billed at
 ``sleep_wall_w`` outside the hardware model) and awake spans.  Every
@@ -21,13 +21,13 @@ relative ``capacity`` (how much backlog the consolidate policies let it
 absorb), and its sleep/wake characteristics.  :func:`hetero_fleet`
 expands per-group :class:`NodeGroup` descriptions into specs; nodes
 sharing a ``(hw, setting)`` pair stay playback-equivalent, which is the
-property batched playback exploits.
+property columnar playback exploits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -68,12 +68,22 @@ class NodeSpec:
     capacity: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sleep_wall_w < 0:
-            raise ValueError("sleep_wall_w must be non-negative")
-        if self.wake_latency_s < 0:
-            raise ValueError("wake_latency_s must be non-negative")
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
+        for name in NODE_BOUNDS:
+            problem = node_bound_error(name, getattr(self, name))
+            if problem is not None:
+                raise ValueError(problem)
+
+
+#: The bounded numeric :class:`NodeSpec` fields.
+NODE_BOUNDS = ("sleep_wall_w", "wake_latency_s", "capacity")
+
+
+def node_bound_error(name: str, value: float) -> str | None:
+    """Why ``value`` is out of bounds for ``NodeSpec.<name>`` (None when
+    in bounds)."""
+    if name == "capacity":
+        return None if value > 0 else "capacity must be positive"
+    return None if value >= 0 else f"{name} must be non-negative"
 
 
 def uniform_fleet(
@@ -164,10 +174,6 @@ class TimelineAccounting:
     def awake(self) -> bool:
         """Awake or in its wake transition (not serviceable until ready)."""
         return not (self.sleep_log and self.sleep_log[-1][1] is None)
-
-    @property
-    def busy_s(self) -> float:
-        return sum(w.service_s for w in self.scheduled)
 
     @property
     def wake_s(self) -> float:
@@ -491,22 +497,19 @@ class SimulatedNode(TimelineAccounting):
         self.busy_until = work.end_s
         return work
 
-    # -- trace assembly ---------------------------------------------------
-    # (busy_s/wake_s/sleep_s/power_estimate come from TimelineAccounting)
 
+def timeline_segments(
+    node: TimelineAccounting, horizon_s: float,
+) -> Iterator[tuple[str, float, PvcSetting, ScheduledWork | None]]:
+    """Walk a node's awake timeline in time order, as ``(label,
+    seconds, setting, work)`` segments.
 
-def node_timeline_pieces(
-    node: TimelineAccounting,
-    table: dict[str, CompiledTrace],
-    horizon_s: float,
-) -> tuple[list[CompiledTrace], list[PvcSetting]]:
-    """A node's awake timeline as compiled-trace pieces + their settings.
-
-    Busy windows resolve through ``table`` under the setting stamped at
-    assign time; the gaps between them (and wake transitions) become
-    ``Idle`` segments so playback charges awake-idle power, under the
-    setting the node's retune log shows it held entering the gap (a
-    gap containing a retune is attributed wholly to its entry setting).
+    A busy window (label ``busy``, ``work`` its :class:`ScheduledWork`)
+    plays its costed trace under the setting stamped at assign time.
+    Every other segment (``work`` None) is awake-idle time: a
+    straggler's stretch under its window's setting, and gaps and wake
+    transitions under the setting the node held entering them (a gap
+    containing a retune is attributed wholly to its entry setting).
     Sleep spans are *not* represented -- they are billed at
     ``sleep_wall_w`` outside the hardware model.
     """
@@ -531,13 +534,10 @@ def node_timeline_pieces(
         events.append((work.start_s, work.end_s, "busy", work))
     events.sort(key=lambda e: (e[0], e[1]))
 
-    pieces: list[CompiledTrace] = []
-    settings: list[PvcSetting] = []
     cursor = 0.0
     for start, end, kind, payload in events:
         if start - cursor > 1e-12:
-            pieces.append(_idle_piece(start - cursor, "idle"))
-            settings.append(setting_at(cursor))
+            yield "idle", start - cursor, setting_at(cursor), None
         cursor = max(cursor, start)
         if kind == "sleep":
             cursor = max(cursor, end)
@@ -545,21 +545,35 @@ def node_timeline_pieces(
         span = end - cursor
         if kind == "wake":
             if span > 1e-12:
-                pieces.append(_idle_piece(span, "wake"))
-                settings.append(setting_at(cursor))
+                yield "wake", span, setting_at(cursor), None
         else:
             work = payload
-            pieces.append(table[work.trace_key])
-            settings.append(work.setting or node.spec.setting)
+            setting = work.setting or node.spec.setting
+            yield "busy", work.service_s - work.stretch_s, setting, work
             if work.stretch_s > 1e-12:
                 # Straggler inflation: degraded occupancy past the
                 # costed trace, billed at awake-idle watts.
-                pieces.append(_idle_piece(work.stretch_s, "straggler"))
-                settings.append(work.setting or node.spec.setting)
+                yield "straggler", work.stretch_s, setting, None
         cursor = max(cursor, end)
     if horizon_s - cursor > 1e-12 and node.awake:
-        pieces.append(_idle_piece(horizon_s - cursor, "idle"))
-        settings.append(setting_at(cursor))
+        yield "idle", horizon_s - cursor, setting_at(cursor), None
+
+
+def node_timeline_pieces(
+    node: TimelineAccounting,
+    table: dict[str, CompiledTrace],
+    horizon_s: float,
+) -> tuple[list[CompiledTrace], list[PvcSetting]]:
+    """A node's timeline segments as compiled-trace pieces + settings
+    (the form the ``play_loop`` oracle replays)."""
+    pieces: list[CompiledTrace] = []
+    settings: list[PvcSetting] = []
+    for label, seconds, setting, work in timeline_segments(node, horizon_s):
+        pieces.append(
+            _idle_piece(seconds, label) if work is None
+            else table[work.trace_key]
+        )
+        settings.append(setting)
     return pieces, settings
 
 

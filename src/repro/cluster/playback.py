@@ -1,22 +1,18 @@
-"""Fleet playback: the nodes' timelines as stacked array operations.
+"""Fleet playback: scheduled timelines become per-node energy.
 
-This generalizes :meth:`SystemUnderTest.run_compiled_batch` to a whole
-heterogeneous fleet.  Nodes sharing a ``(hardware profile, PVC
-setting)`` pair are *playback equivalent* (the simulator builds every
-node's machine from its profile's factory), so their timelines stack
-into a single structure-of-arrays playback call per distinct pair -- a
-16-node x 10k-arrival run collapses to a handful of vectorized passes.
+:func:`play_columnar` is the one production playback.  Every schedule
+reaches it as a :class:`~repro.cluster.simulator.ColumnarSchedule`,
+and a node's energy is its per-(setting, trace key) execution counts
+dotted with the schedule phase's pre-costed measurements, plus each
+setting's per-second idle draw times its idle seconds.  Nothing is
+re-costed, so playback is independent of the arrival count.
 
-Nodes retuned online (the adaptive-PVC policy) contribute one stacked
-trace per *setting run* -- a maximal stretch of consecutive pieces
-played under one setting -- so the number of playback calls stays
-``O(distinct (hw, setting) pairs)`` and the number of stacked traces
-stays ``O(nodes + setting changes)``, not ``O(pieces)``.
-
-``play_loop`` keeps the per-query replay loop (one ``run_compiled``
-call per scheduled piece) as the reference implementation and perf
-baseline; both paths agree on every node's energy to float-summation
-order.
+Two references replay the compiled-trace pieces a loop schedule
+derives on demand: :func:`play_loop` (one ``run_compiled`` call per
+piece) is the ``playback(mode="loop")`` oracle, and
+:func:`play_batched` (one stacked ``run_compiled_batch`` call per
+``(hw, setting)`` pair) is the stacked-piece reference the
+conservation tests check and the benchmark's per-layer ledger names.
 """
 
 from __future__ import annotations
@@ -82,7 +78,8 @@ def play_batched(
     workload_class: str,
     settings_by_node: dict[str, list[PvcSetting]] | None = None,
 ) -> dict[str, RunMeasurement]:
-    """One stacked playback call per distinct (hw, setting) pair.
+    """Reference: one stacked playback call per distinct (hw, setting)
+    pair over a loop schedule's compiled-trace pieces.
 
     Each node's same-setting piece runs concatenate into stacked
     traces; every equivalent run across the fleet joins one
@@ -122,8 +119,10 @@ def play_batched(
 #: One second of idle, compiled once: played under a (hw, setting)
 #: pair it yields that pair's idle draw in watts, and idle energy is
 #: strictly linear in idle seconds (constant powers per idle segment),
-#: so every idle gap in a columnar schedule costs one multiply.
+#: so every idle second in a columnar schedule costs one multiply.
 _IDLE_SECOND = Trace([Idle(1.0, label="idle")]).compiled()
+
+_ZERO = zero_measurement()
 
 #: RunMeasurement scalar fields in matrix order (disk energy unrolled
 #: onto its two rails so every field scales linearly).
@@ -153,52 +152,55 @@ def _measurement_from_fields(v: np.ndarray) -> RunMeasurement:
 def play_columnar(
     nodes: list[SimulatedNode],
     columnar,
-    horizon_s: float,
     workload_class: str,
 ) -> dict[str, RunMeasurement]:
-    """Play a vectorized (columnar) schedule without materializing pieces.
-
-    A columnar schedule never retunes or sleeps a node, so each node's
-    timeline is fully described by *how many times* it played each
-    distinct trace plus its total idle seconds.  Busy energy is a
-    counts x per-distinct-measurement dot product over the schedule
-    phase's pre-costed batch (the same ``run_compiled_batch`` output
-    the legacy path replays piece by piece); idle energy is the pair's
-    per-second idle draw times the idle gap total (idle playback is
-    linear in seconds).  Cost: O(nodes x distinct), independent of the
-    arrival count.
-    """
-    out: dict[str, RunMeasurement] = {}
-    n_distinct = len(columnar.distinct)
+    """Per-node energy of a columnar schedule: per setting, execution
+    counts per trace key dotted with the ``(hw, setting)`` pair's
+    measurements, plus its per-second idle draw times idle seconds."""
+    keys = columnar.keys
+    n_keys = len(keys)
+    n_settings = len(columnar.settings)
     fields: dict[object, np.ndarray] = {}
     idle_rates: dict[object, np.ndarray] = {}
+    out: dict[str, RunMeasurement] = {}
     for j, node in enumerate(nodes):
-        key = (node.spec.hw, node.spec.setting)
-        F = fields.get(key)
-        if F is None:
-            F = fields[key] = _measurement_fields(columnar.costed[key])
-        rate = idle_rates.get(key)
-        if rate is None:
-            sut = node.sut
-            original = sut.setting
-            sut.apply_setting(node.spec.setting)
-            try:
-                per_second = sut.run_compiled(
-                    _IDLE_SECOND, workload_class
-                )
-            finally:
-                sut.apply_setting(original)
-            rate = idle_rates[key] = _measurement_fields([per_second])[:, 0]
         rows = columnar.rows_for(j)
         counts = np.bincount(
-            columnar.sql_idx[rows], minlength=n_distinct
-        ).astype(np.float64)
-        busy = F @ counts
-        idle_s = max(0.0, horizon_s - busy[0])
-        out[node.spec.name] = _measurement_from_fields(
-            busy + rate * idle_s
-        )
+            columnar.setting_idx[rows] * n_keys + columnar.key_idx[rows],
+            minlength=n_settings * n_keys,
+        ).reshape(n_settings, n_keys)
+        total = np.zeros(_FIELD_COUNT)
+        for s, setting in enumerate(columnar.settings):
+            key = (node.spec.hw, setting)
+            if counts[s].any():
+                if key not in fields:
+                    # Keys never measured under this pair have no rows
+                    # under it (their counts are zero).
+                    measured = columnar.costed[key]
+                    fields[key] = _measurement_fields(
+                        [measured.get(k, _ZERO) for k in keys]
+                    )
+                total = total + fields[key] @ counts[s]
+            idle_s = columnar.idle_s[j, s]
+            if idle_s > 0.0:
+                if key not in idle_rates:
+                    idle_rates[key] = _idle_rate(
+                        node.sut, setting, workload_class
+                    )
+                total = total + idle_rates[key] * idle_s
+        out[node.spec.name] = _measurement_from_fields(total)
     return out
+
+
+def _idle_rate(sut, setting: PvcSetting, workload_class: str) -> np.ndarray:
+    """One second of awake idle under ``setting``, as a field vector."""
+    original = sut.setting
+    sut.apply_setting(setting)
+    try:
+        per_second = sut.run_compiled(_IDLE_SECOND, workload_class)
+    finally:
+        sut.apply_setting(original)
+    return _measurement_fields([per_second])[:, 0]
 
 
 def play_loop(
@@ -209,9 +211,8 @@ def play_loop(
 ) -> dict[str, RunMeasurement]:
     """The per-query replay loop: one playback call per scheduled piece.
 
-    This is the naive path batched playback replaces -- kept as the
-    regression baseline for the conservation tests and the cluster
-    scaling benchmark.
+    The reference implementation: ``playback(mode="loop")`` and the
+    cluster scaling benchmark compare :func:`play_columnar` against it.
     """
     out: dict[str, RunMeasurement] = {}
     for node in nodes:

@@ -1,4 +1,4 @@
-"""Discrete-event cluster simulation over batched compiled-trace playback.
+"""Discrete-event cluster simulation over columnar playback.
 
 The paper's deployment story at production scale: an arrival stream of
 queries hits a master, a routing policy places each query on a node
@@ -20,15 +20,15 @@ of array operations:
    the trace compiles), pre-cost each distinct query once per distinct
    ``(hardware profile, PVC setting)`` pair with one
    ``run_compiled_batch`` call -- including every ladder setting an
-   adaptive router may apply -- then run the event loop in pure Python
-   over floats.  Produces a :class:`ClusterSchedule`: per-node timelines
-   (busy windows + idle/wake gaps, minus sleep spans) as compiled-trace
-   pieces, each tagged with the setting it was scheduled under.
-2. :meth:`ClusterSimulator.playback` -- play every node's whole timeline
-   with one stacked array call per distinct (hw, setting) pair
-   (:func:`~repro.cluster.playback.play_batched`), or per piece
-   (:func:`~repro.cluster.playback.play_loop`, the perf baseline), and
-   compose the :class:`~repro.cluster.measure.ClusterMeasurement`.
+   adaptive router may apply -- then route, either chunked over arrays
+   or per arrival in pure Python over floats.  Either way the outcome
+   is a :class:`ClusterSchedule` whose rows are one
+   :class:`ColumnarSchedule`.
+2. :meth:`ClusterSimulator.playback` -- bill those rows against the
+   pre-costed measurements (:func:`~repro.cluster.playback.play_columnar`)
+   or, as the oracle, replay per-piece timelines
+   (:func:`~repro.cluster.playback.play_loop`), and compose the
+   :class:`~repro.cluster.measure.ClusterMeasurement`.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,7 +49,6 @@ from repro.cluster.measure import (
     NodeUsage,
     QedPartitionStats,
     QedReport,
-    QueryResponse,
     ResponseColumns,
     ShedQuery,
 )
@@ -59,9 +59,10 @@ from repro.cluster.node import (
     SUT_FACTORIES,
     TimelineAccounting,
     node_timeline_pieces,
+    timeline_segments,
 )
 from repro.cluster.placement import PlacementMap, replication_copy_trace
-from repro.cluster.playback import play_batched, play_columnar, play_loop
+from repro.cluster.playback import play_columnar, play_loop
 from repro.cluster.routing import (
     AdaptivePvcRouter,
     ConsolidatePlacement,
@@ -77,7 +78,7 @@ from repro.hardware.cpu import PvcSetting
 from repro.obs.fingerprint import config_fingerprint, run_id_for
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import MASTER_TRACK, NULL_TRACER, Tracer
-from repro.hardware.system import SystemUnderTest
+from repro.hardware.system import RunMeasurement, SystemUnderTest
 from repro.hardware.trace import CompiledTrace
 from repro.workloads.arrivals import Arrival
 from repro.workloads.client import ClientModel
@@ -117,51 +118,132 @@ class NodeTimeline(TimelineAccounting):
 
 @dataclass
 class ColumnarSchedule:
-    """Structure-of-arrays form of a vectorized scheduling run.
+    """Structure-of-arrays form of every schedule, loop or vectorized.
 
-    One row per arrival, in arrival order: which node it landed on,
-    which distinct template it is, and the start/end the chunked
-    routing recurrence assigned.  ``order``/``offsets`` give each
-    node's rows (``order[offsets[j]:offsets[j+1]]``, arrival-ordered
-    within a node via the stable sort), and ``costed`` carries the
-    schedule phase's pre-costed per-distinct measurements so playback
-    can re-cost the whole fleet as counts-times-measurement dot
-    products without re-playing any trace.
+    One execution row per busy window: node, trace key
+    (``keys[key_idx]``), the setting it played under
+    (``settings[setting_idx]``), start and end.  ``idle_s[node,
+    setting]`` holds awake-idle seconds (gaps, wake transitions,
+    straggler stretch; sleep is billed outside the hardware model) and
+    ``costed`` the measurement of every trace key per ``(hw, setting)``
+    pair, so playback needs no trace.  Node ``j``'s rows are
+    ``order[offsets[j]:offsets[j+1]]``, in row order.
     """
 
-    distinct: list[str]
-    arrival_s: np.ndarray
+    keys: list[str]
+    settings: list[PvcSetting]
     node_idx: np.ndarray
-    sql_idx: np.ndarray
+    key_idx: np.ndarray
+    setting_idx: np.ndarray
     start_s: np.ndarray
     end_s: np.ndarray
-    order: np.ndarray
-    offsets: np.ndarray
-    costed: dict = field(repr=False, default_factory=dict)
+    idle_s: np.ndarray
+    responses: ResponseColumns
+    costed: dict[CostKey, dict[str, RunMeasurement]] = field(repr=False)
+    order: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n_nodes = self.idle_s.shape[0]
+        self.order = np.argsort(self.node_idx, kind="stable")
+        self.offsets = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(self.node_idx, minlength=n_nodes),
+            out=self.offsets[1:],
+        )
 
     def __len__(self) -> int:
-        return len(self.arrival_s)
+        return len(self.node_idx)
 
     def rows_for(self, j: int) -> np.ndarray:
-        """Indices of node ``j``'s arrivals, in arrival order."""
+        """Indices of node ``j``'s execution rows, in row order."""
         return self.order[self.offsets[j]:self.offsets[j + 1]]
+
+    @classmethod
+    def from_timelines(
+        cls,
+        nodes: list[TimelineAccounting],
+        table: dict[str, CompiledTrace],
+        horizon_s: float,
+        costed: dict[CostKey, dict[str, RunMeasurement]],
+    ) -> "ColumnarSchedule":
+        """Rows for a loop schedule, from one segment walk per node
+        (:func:`~repro.cluster.node.timeline_segments`); each busy
+        window's queries complete with it."""
+        keys = list(table)
+        key_of = {key: i for i, key in enumerate(keys)}
+        setting_of: dict[PvcSetting, int] = {}
+        idle: dict[tuple[int, int], float] = {}
+        execs: list[tuple[int, int, int, float, float]] = []
+        served: list[tuple[int, int, float, float, float]] = []
+        for j, node in enumerate(nodes):
+            for _label, seconds, setting, work in timeline_segments(
+                node, horizon_s
+            ):
+                s = setting_of.setdefault(setting, len(setting_of))
+                if work is None:
+                    idle[j, s] = idle.get((j, s), 0.0) + seconds
+                    continue
+                execs.append((j, key_of[work.trace_key], s,
+                              work.start_s, work.end_s))
+                served.extend(
+                    (key_of[sql], j, arrival_s, work.start_s, work.end_s)
+                    for sql, arrival_s in work.queries
+                )
+        idle_s = np.zeros((len(nodes), len(setting_of)))
+        for (j, s), seconds in idle.items():
+            idle_s[j, s] = seconds
+        # Small integer indices ride exactly in float64 columns.
+        ex = np.array(execs, dtype=np.float64).reshape(-1, 5)
+        ans = np.array(served, dtype=np.float64).reshape(-1, 5)
+        return cls(
+            keys=keys, settings=list(setting_of),
+            node_idx=ex[:, 0].astype(np.intp),
+            key_idx=ex[:, 1].astype(np.intp),
+            setting_idx=ex[:, 2].astype(np.intp),
+            start_s=ex[:, 3], end_s=ex[:, 4],
+            idle_s=idle_s,
+            responses=_sorted_responses(
+                keys, [n.spec.name for n in nodes],
+                ans[:, 0].astype(np.intp), ans[:, 1].astype(np.intp),
+                ans[:, 2], ans[:, 3], ans[:, 4],
+            ),
+            costed=costed,
+        )
+
+
+def _sorted_responses(
+    keys: list[str], node_names: list[str], sql_idx: np.ndarray,
+    node_idx: np.ndarray, arrival_s: np.ndarray, start_s: np.ndarray,
+    completion_s: np.ndarray,
+) -> ResponseColumns:
+    """Served-query columns in (arrival, completion) order; the sort is
+    stable, so ties keep the order the rows were given in."""
+    order = np.lexsort((completion_s, arrival_s))
+    return ResponseColumns(
+        distinct=tuple(keys),
+        node_names=tuple(node_names),
+        sql_idx=sql_idx[order],
+        node_idx=node_idx[order],
+        arrival_s=arrival_s[order],
+        start_s=start_s[order],
+        completion_s=completion_s[order],
+    )
 
 
 @dataclass
 class ClusterSchedule:
     """The event loop's outcome: who runs what, when, on which node.
 
-    Produced in one of two shapes: the legacy per-arrival loop fills
-    ``pieces_by_node`` (compiled-trace timeline pieces per node); the
-    vectorized fast path fills ``columnar`` instead and leaves the
-    piece maps empty -- at 1M arrivals materializing per-arrival piece
-    objects would cost more than the event loop itself.
+    ``rows`` is the one playback form, whichever scheduler produced it
+    (``vectorized`` says which).  The compiled-trace pieces the
+    ``play_loop`` oracle replays are derived from the node snapshots on
+    first use; a vectorized schedule's snapshots hold no busy windows.
     """
 
     nodes: list[NodeTimeline]
     table: dict[str, CompiledTrace]
-    pieces_by_node: dict[str, list[CompiledTrace]]
-    settings_by_node: dict[str, list[PvcSetting]]
+    rows: ColumnarSchedule
     horizon_s: float
     shed: list[ShedQuery]
     peak_power_w: float
@@ -171,13 +253,72 @@ class ClusterSchedule:
     faults: FaultReport | None = None
     run_id: str | None = None
     fingerprint: dict | None = None
-    columnar: ColumnarSchedule | None = None
+    vectorized: bool = False
 
     @property
-    def scheduled_pieces(self) -> int:
-        if self.columnar is not None:
-            return len(self.columnar)
-        return sum(len(p) for p in self.pieces_by_node.values())
+    def columnar(self) -> ColumnarSchedule | None:
+        """The rows when the vectorized scheduler produced them (None
+        for a loop schedule)."""
+        return self.rows if self.vectorized else None
+
+    @cached_property
+    def _pieces(self) -> dict:
+        if self.vectorized:
+            raise ValueError(
+                "a vectorized (columnar) schedule has no per-piece "
+                "timeline to replay in loop mode; schedule with "
+                "vectorized=False for the loop oracle"
+            )
+        return {
+            node.spec.name: node_timeline_pieces(
+                node, self.table, self.horizon_s
+            )
+            for node in self.nodes
+        }
+
+    @property
+    def pieces_by_node(self) -> dict[str, list[CompiledTrace]]:
+        return {name: p for name, (p, _) in self._pieces.items()}
+
+    @property
+    def settings_by_node(self) -> dict[str, list[PvcSetting]]:
+        return {name: s for name, (_, s) in self._pieces.items()}
+
+
+def _peak_power_w(
+    nodes: list[TimelineAccounting], rows: ColumnarSchedule
+) -> float:
+    """Peak fleet power under the linear per-node envelope (the model
+    the power-cap router schedules against): awake nodes draw idle
+    watts (wake transitions included), sleeping nodes sleep watts, and
+    each execution row adds its node's ``busy - idle`` delta.  Every
+    power step is swept in (time, delta) order."""
+    baseline = 0.0
+    deltas = np.empty(len(nodes))
+    naps: list[tuple[float, float]] = []  # wake and re-sleep steps
+    for j, node in enumerate(nodes):
+        est = node.power_estimate()
+        sleep_step = est.idle_wall_w - node.spec.sleep_wall_w
+        baseline += (
+            est.idle_wall_w if node.started_awake else node.spec.sleep_wall_w
+        )
+        naps += [(called, sleep_step) for called, _ in node.wake_log]
+        naps += [(start, -sleep_step) for start, _ in node.sleep_log
+                 if start > 0.0]
+        deltas[j] = est.busy_wall_w - est.idle_wall_w
+    step_t, step_w = np.array(naps, dtype=np.float64).reshape(-1, 2).T
+    per_row = deltas[rows.node_idx]
+    # The starting draw rides in front as a step at -inf, so the sweep
+    # is one running sum; at 1M rows every temporary is freed as soon
+    # as it is consumed.
+    t = np.concatenate([[-np.inf], rows.start_s, rows.end_s, step_t])
+    w = np.concatenate([[baseline], per_row, -per_row, step_w])
+    del per_row
+    order = np.lexsort((w, t))
+    del t
+    steps = w[order]
+    del w, order
+    return float(np.cumsum(steps, out=steps).max())
 
 
 class ClusterSimulator:
@@ -187,7 +328,7 @@ class ClusterSimulator:
     (``hw``, resolved through ``sut_factories`` with
     :data:`~repro.cluster.node.SUT_FACTORIES` as the base registry)
     with the spec's PVC setting applied, which keeps same-(hw, setting)
-    nodes playback-equivalent -- the property batched playback
+    nodes playback-equivalent -- the property columnar playback
     exploits.  ``sut_factory`` (single-profile fleets) overrides the
     ``"paper"`` profile, preserving the homogeneous-fleet call shape.
     Without a ``placement`` map the shared database models fully
@@ -334,19 +475,20 @@ class ClusterSimulator:
 
     def _precost(
         self, table: dict[str, CompiledTrace], workload_class: str
-    ) -> tuple[dict[CostKey, dict[str, float]], dict[CostKey, list]]:
+    ) -> dict[CostKey, dict[str, float]]:
         """Pre-cost each distinct query per (hw, setting) pair: one
         stacked call per pair replaces a per-(query, node) loop.  The
-        full per-distinct measurements ride along so columnar playback
-        can reuse them as counts-times-measurement dot products.
+        full measurements are kept in ``self._costed`` (which
+        :meth:`_duration_for` extends with keys costed mid-run) so
+        playback reuses them as counts-times-measurement dot products.
 
-        Every node gets the table (``node.costs``); the router's
+        Every node gets the durations (``node.costs``); the router's
         ``prepare`` resets each node onto the row of its own setting
         (``node.service``), and a retune swaps the row.
         """
         distinct = list(table)
         durations: dict[CostKey, dict[str, float]] = {}
-        costed: dict[CostKey, list] = {}
+        self._costed: dict[CostKey, dict[str, RunMeasurement]] = {}
         for hw, setting in self._cost_keys():
             sut = self._sut_for(hw)
             original = sut.setting
@@ -360,10 +502,10 @@ class ClusterSimulator:
             durations[(hw, setting)] = {
                 sql: m.duration_s for sql, m in zip(distinct, batch)
             }
-            costed[(hw, setting)] = batch
+            self._costed[(hw, setting)] = dict(zip(distinct, batch))
         for node in self.nodes:
             node.costs = durations
-        return durations, costed
+        return durations
 
     def vectorized_ineligibility(self) -> str | None:
         """Why this configuration cannot take the vectorized fast path
@@ -521,12 +663,12 @@ class ClusterSimulator:
             raise ValueError(
                 f"vectorized scheduling unavailable: {reason}"
             )
-        if not arrivals:
-            # NHPP generators legitimately produce empty streams in
-            # low-rate windows; an empty stream is an empty schedule
-            # (zero energy, zero horizon), not an error.
-            return self._schedule_empty()
-        use_fast = (reason is None) if vectorized is None else vectorized
+        # NHPP generators legitimately produce empty streams in low-rate
+        # windows; an empty stream takes the loop and yields an empty
+        # schedule (zero energy, zero horizon), not an error.
+        use_fast = bool(arrivals) and (
+            (reason is None) if vectorized is None else vectorized
+        )
         arrivals = sorted(arrivals, key=lambda a: a.time_s)
         workload_class = self.db.workload_class
         self._install_placement()
@@ -580,10 +722,13 @@ class ClusterSimulator:
         # fault RNG, and lay the crash events out as a time heap.  With
         # no plan -- or an empty one -- none of the hooks below run and
         # the event loop is byte-identical to the fault-free simulator.
+        # An empty stream ends at t=0 before any fault can fire.
         plan = self.faults
-        active = plan is not None and not plan.empty
+        report = (
+            FaultReport() if plan is not None and not plan.empty else None
+        )
+        active = report is not None and bool(arrivals)
         shed: list[ShedQuery] = []
-        report = FaultReport() if active else None
         self._fault_active = active
         self._fault_report = report
         for node in self.nodes:
@@ -611,7 +756,7 @@ class ClusterSimulator:
 
         self.router.prepare(self.nodes)
         qed: QedReport | None = None
-        end_of_arrivals = arrivals[-1].time_s
+        end_of_arrivals = arrivals[-1].time_s if arrivals else 0.0
         if self.master_queue is not None:
             qed = QedReport(mode="master")
             self._run_master_loop(
@@ -719,26 +864,23 @@ class ClusterSimulator:
             tracer.finish(horizon)
         if metrics is not None:
             self._sample_metrics_until(horizon)
+        if metrics is not None and arrivals:
             response = metrics.histogram("response_s")
             for node in self.nodes:
                 for work in node.scheduled:
                     for _sql, arrival_s in work.queries:
                         response.observe(work.end_s - arrival_s)
 
-        pieces_by_node: dict[str, list[CompiledTrace]] = {}
-        settings_by_node: dict[str, list[PvcSetting]] = {}
-        for node in self.nodes:
-            pieces, settings = node_timeline_pieces(node, table, horizon)
-            pieces_by_node[node.spec.name] = pieces
-            settings_by_node[node.spec.name] = settings
+        rows = ColumnarSchedule.from_timelines(
+            self.nodes, table, horizon, self._costed
+        )
         return ClusterSchedule(
             nodes=[NodeTimeline.snapshot(n) for n in self.nodes],
             table=table,
-            pieces_by_node=pieces_by_node,
-            settings_by_node=settings_by_node,
+            rows=rows,
             horizon_s=horizon,
             shed=shed,
-            peak_power_w=self._peak_model_power_w(horizon),
+            peak_power_w=_peak_power_w(self.nodes, rows),
             cap_w=getattr(self.router, "cap_w", None),
             workload_class=workload_class,
             qed=qed,
@@ -770,7 +912,7 @@ class ClusterSimulator:
         """
         table = self._execute_once_table(arrivals)
         distinct = list(table)
-        durations, costed = self._precost(table, workload_class)
+        durations = self._precost(table, workload_class)
         self._fault_active = False
         self._fault_report = None
         self.router.prepare(self.nodes)
@@ -807,111 +949,53 @@ class ClusterSimulator:
             starts[lo:hi] = st
             ends[lo:hi] = en
 
-        order = np.argsort(node_idx, kind="stable")
-        offsets = np.zeros(n_nodes + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(node_idx, minlength=n_nodes), out=offsets[1:]
-        )
-        columnar = ColumnarSchedule(
-            distinct=distinct, arrival_s=times, node_idx=node_idx,
-            sql_idx=sql_idx, start_s=starts, end_s=ends,
-            order=order, offsets=offsets, costed=costed,
-        )
         horizon = float(max(times[-1], ends.max()))
+        # Every execution answers one arrival, so the response columns
+        # double as the execution rows; the fleet never sleeps or
+        # retunes, so each node idles under its own setting whenever
+        # it is not busy.
+        responses = _sorted_responses(
+            distinct, [node.spec.name for node in self.nodes],
+            sql_idx, node_idx, times, starts, ends,
+        )
+        # Drop the arrival-ordered columns before the peak-power sweep
+        # allocates its event arrays (1M-arrival runs feel every copy).
+        del sql_idx, node_idx, times, starts, ends
+        own = [node.spec.setting for node in self.nodes]
+        settings = list(dict.fromkeys(own))
+        node_setting = np.array([settings.index(s) for s in own])
+        busy = np.bincount(responses.node_idx, minlength=n_nodes,
+                           weights=responses.completion_s - responses.start_s)
+        idle_s = np.zeros((n_nodes, len(settings)))
+        idle_s[np.arange(n_nodes), node_setting] = np.maximum(
+            0.0, horizon - busy
+        )
+        rows = ColumnarSchedule(
+            keys=distinct,
+            settings=settings,
+            node_idx=responses.node_idx,
+            key_idx=responses.sql_idx,
+            setting_idx=node_setting[responses.node_idx],
+            start_s=responses.start_s,
+            end_s=responses.completion_s,
+            idle_s=idle_s,
+            responses=responses,
+            costed=self._costed,
+        )
         return ClusterSchedule(
             nodes=[NodeTimeline.snapshot(node) for node in self.nodes],
             table=table,
-            pieces_by_node={n_.spec.name: [] for n_ in self.nodes},
-            settings_by_node={n_.spec.name: [] for n_ in self.nodes},
+            rows=rows,
             horizon_s=horizon,
             shed=[],
-            peak_power_w=self._peak_power_columnar(
-                node_idx, starts, ends
-            ),
+            peak_power_w=_peak_power_w(self.nodes, rows),
             cap_w=getattr(self.router, "cap_w", None),
             workload_class=workload_class,
             qed=None,
             faults=None,
             run_id=run_id,
             fingerprint=fingerprint,
-            columnar=columnar,
-        )
-
-    def _peak_power_columnar(
-        self, node_idx: np.ndarray, starts: np.ndarray, ends: np.ndarray
-    ) -> float:
-        """Peak fleet power for an always-awake columnar run.
-
-        The same power-step sweep as :meth:`_peak_model_power_w`,
-        vectorized: the baseline is every node's idle draw, each busy
-        window steps by its node's (busy - idle) delta, and a lexsort
-        on (time, delta) reproduces the legacy sweep's tie order.
-        """
-        baseline = 0.0
-        deltas = np.empty(len(self.nodes))
-        for j, node in enumerate(self.nodes):
-            est = node.power_estimate()
-            baseline += est.idle_wall_w
-            deltas[j] = est.busy_wall_w - est.idle_wall_w
-        per_arrival = deltas[node_idx]
-        ev_t = np.concatenate([starts, ends])
-        ev_d = np.concatenate([per_arrival, -per_arrival])
-        running = np.cumsum(ev_d[np.lexsort((ev_d, ev_t))])
-        if running.size == 0:
-            return baseline
-        return baseline + max(0.0, float(running.max()))
-
-    def _schedule_empty(self) -> ClusterSchedule:
-        """A well-formed zero-arrival schedule: zero energy, zero
-        horizon, empty trace table (the measurement side renders one
-        ``[0, 0]`` phase window, mirroring the zero-horizon report)."""
-        workload_class = self.db.workload_class
-        self._install_placement()
-        fingerprint = config_fingerprint(
-            [node.spec for node in self.nodes], self.router,
-            master_queue=self.master_queue, faults=self.faults,
-            retry=self.retry, arrivals=[],
-            workload_class=workload_class,
-            scale_factor=getattr(self.db, "scale_factor", None),
-            placement=self.placement,
-        )
-        run_id = run_id_for(fingerprint)
-        self._fault_active = False
-        self._fault_report = None
-        for node in self.nodes:
-            # Nothing is costed for an empty stream; a previous run's
-            # table need not hold this router's settings.
-            node.costs = None
-        self.router.prepare(self.nodes)
-        if self.tracer.enabled:
-            self.tracer.begin_run(
-                {"run_id": run_id, "fingerprint": fingerprint}
-            )
-            self.tracer.finish(0.0)
-        if self.metrics is not None:
-            self.metrics.begin_run(run_id)
-            self._next_sample_s = 0.0
-            self._sample_metrics_until(0.0)
-        qed: QedReport | None = None
-        if self.master_queue is not None:
-            qed = QedReport(mode="master")
-        elif any(n.queue is not None for n in self.nodes):
-            qed = QedReport(mode="node")
-        active = self.faults is not None and not self.faults.empty
-        return ClusterSchedule(
-            nodes=[NodeTimeline.snapshot(n) for n in self.nodes],
-            table={},
-            pieces_by_node={n.spec.name: [] for n in self.nodes},
-            settings_by_node={n.spec.name: [] for n in self.nodes},
-            horizon_s=0.0,
-            shed=[],
-            peak_power_w=self._peak_model_power_w(0.0),
-            cap_w=getattr(self.router, "cap_w", None),
-            workload_class=workload_class,
-            qed=qed,
-            faults=FaultReport() if active else None,
-            run_id=run_id,
-            fingerprint=fingerprint,
+            vectorized=True,
         )
 
     def _expire_queue(self, node: SimulatedNode, now_s: float):
@@ -1408,8 +1492,8 @@ class ClusterSimulator:
                 ((query.sql, query.arrival_s),),
             )
 
-    @staticmethod
     def _duration_for(
+        self,
         node: SimulatedNode,
         key: str,
         table: dict[str, CompiledTrace],
@@ -1418,20 +1502,24 @@ class ClusterSimulator:
         """``key``'s service time under the node's *current* setting.
 
         Served from the node's pre-costed row when possible; costed on
-        demand (and memoized in the row, shared by every node holding
-        the same ``(hw, setting)``) for trace keys the pre-pass could
-        not know about -- merged-batch SQL, re-replication copies.
+        demand for trace keys the pre-pass could not know about --
+        merged-batch SQL, re-replication copies.  The duration is
+        memoized in the row (shared by every node holding the same
+        ``(hw, setting)``) and the full measurement in ``_costed``,
+        which is what playback bills the key's windows with.
         """
         row = node.service
         if key not in row:
             original = node.sut.setting
             node.sut.apply_setting(node.setting)
             try:
-                row[key] = node.sut.run_compiled(
+                measurement = node.sut.run_compiled(
                     table[key], workload_class
-                ).duration_s
+                )
             finally:
                 node.sut.apply_setting(original)
+            row[key] = measurement.duration_s
+            self._costed[(node.spec.hw, node.setting)][key] = measurement
         return row[key]
 
     def _schedule_batch(
@@ -1498,59 +1586,17 @@ class ClusterSimulator:
         if stats is not None:
             stats.merged_windows += 1
 
-    def _peak_model_power_w(self, horizon_s: float) -> float:
-        """Peak fleet power under the linear per-node envelope.
-
-        The same model the power-cap router schedules against: awake
-        nodes draw idle watts (wake transitions included), busy windows
-        add ``busy - idle``, sleeping nodes draw their sleep watts.
-        Every sleep-to-wake and awake-to-sleep transition (dynamic
-        re-consolidation can produce many per node) becomes a power
-        step event.
-        """
-        power = 0.0
-        events: list[tuple[float, float]] = []
-        for node in self.nodes:
-            est = node.power_estimate()
-            sleep_step = est.idle_wall_w - node.spec.sleep_wall_w
-            if node.started_awake:
-                power += est.idle_wall_w
-            else:
-                power += node.spec.sleep_wall_w
-            for called, _ready in node.wake_log:
-                events.append((called, sleep_step))
-            for start, _end in node.sleep_log:
-                if start > 0.0:
-                    events.append((start, -sleep_step))
-            delta = est.busy_wall_w - est.idle_wall_w
-            for work in node.scheduled:
-                events.append((work.start_s, delta))
-                events.append((work.end_s, -delta))
-        events.sort(key=lambda e: (e[0], e[1]))
-        peak = power
-        for _, d in events:
-            power += d
-            peak = max(peak, power)
-        return peak
-
     # -- phase 2: playback -------------------------------------------------
 
     def playback(self, schedule: ClusterSchedule,
                  mode: str = "batched") -> ClusterMeasurement:
-        """Turn scheduled timelines into energy: the vectorized hot path
-        (``batched``) or the per-query replay loop (``loop``)."""
-        if schedule.columnar is not None:
-            if mode != "batched":
-                raise ValueError(
-                    "a vectorized (columnar) schedule has no per-piece "
-                    "timeline to replay in loop mode; schedule with "
-                    "vectorized=False for the legacy loop"
-                )
-            return self._playback_columnar(schedule)
+        """Turn a schedule into energy: columnar playback of its rows
+        (``batched``, the production path) or the per-piece replay
+        oracle (``loop``, loop schedules only)."""
+        rows = schedule.rows
         if mode == "batched":
-            measurements = play_batched(
-                schedule.nodes, schedule.pieces_by_node,
-                schedule.workload_class, schedule.settings_by_node,
+            measurements = play_columnar(
+                schedule.nodes, rows, schedule.workload_class
             )
         elif mode == "loop":
             measurements = play_loop(
@@ -1559,42 +1605,39 @@ class ClusterSimulator:
             )
         else:
             raise ValueError(f"unknown playback mode {mode!r}")
+        horizon = schedule.horizon_s
+        queries = np.bincount(
+            rows.responses.node_idx, minlength=len(schedule.nodes)
+        )
         usages: list[NodeUsage] = []
-        responses: list[QueryResponse] = []
-        for node in schedule.nodes:
-            name = node.spec.name
-            sleep_s = node.sleep_s(schedule.horizon_s)
+        for j, node in enumerate(schedule.nodes):
+            mine = rows.rows_for(j)
+            starts = rows.start_s[mine]
+            ends = rows.end_s[mine]
+            sleep_spans = tuple(node.sleep_spans(horizon))
+            sleep_s = sum(end - start for start, end in sleep_spans)
             envelope = node.power_estimate()
             usages.append(NodeUsage(
-                name=name,
-                queries=sum(len(w.queries) for w in node.scheduled),
-                busy_s=node.busy_s,
+                name=node.spec.name,
+                queries=int(queries[j]),
+                busy_s=float((ends - starts).sum()),
                 wake_s=node.wake_s,
                 sleep_s=sleep_s,
-                horizon_s=schedule.horizon_s,
-                playback=measurements[name],
+                horizon_s=horizon,
+                playback=measurements[node.spec.name],
                 sleep_joules=node.spec.sleep_wall_w * sleep_s,
                 re_sleeps=node.re_sleeps,
-                busy_windows=tuple(
-                    (w.start_s, w.end_s) for w in node.scheduled
-                ),
-                sleep_spans=tuple(node.sleep_spans(schedule.horizon_s)),
+                busy_columns=(starts, ends),
+                sleep_spans=sleep_spans,
                 wake_spans=tuple(node.wake_log),
                 idle_wall_w=envelope.idle_wall_w,
                 busy_wall_w=envelope.busy_wall_w,
                 sleep_wall_w=node.spec.sleep_wall_w,
             ))
-            for work in node.scheduled:
-                for sql, arrival_s in work.queries:
-                    responses.append(QueryResponse(
-                        sql=sql, node=name, arrival_s=arrival_s,
-                        start_s=work.start_s, completion_s=work.end_s,
-                    ))
-        responses.sort(key=lambda r: (r.arrival_s, r.completion_s))
         return ClusterMeasurement(
-            horizon_s=schedule.horizon_s,
+            horizon_s=horizon,
             nodes=usages,
-            responses=responses,
+            responses=rows.responses,
             shed=list(schedule.shed),
             peak_power_w=schedule.peak_power_w,
             cap_w=schedule.cap_w,
@@ -1602,80 +1645,16 @@ class ClusterSimulator:
             faults=schedule.faults,
             run_id=schedule.run_id,
             fingerprint=schedule.fingerprint,
-        )
-
-    def _playback_columnar(
-        self, schedule: ClusterSchedule
-    ) -> ClusterMeasurement:
-        """Measurement for a vectorized schedule, staying columnar.
-
-        Node energies come from :func:`play_columnar` (counts dot
-        pre-costed measurements + linear idle); responses stay as
-        arrays on the measurement (:class:`ResponseColumns`), which
-        serves percentiles, SLA accounting, and phase windows without
-        ever materializing per-query objects.
-        """
-        col = schedule.columnar
-        measurements = play_columnar(
-            schedule.nodes, col, schedule.horizon_s,
-            schedule.workload_class,
-        )
-        usages: list[NodeUsage] = []
-        for j, node in enumerate(schedule.nodes):
-            name = node.spec.name
-            rows = col.rows_for(j)
-            starts = col.start_s[rows]
-            ends = col.end_s[rows]
-            envelope = node.power_estimate()
-            usages.append(NodeUsage(
-                name=name,
-                queries=int(len(rows)),
-                busy_s=float((ends - starts).sum()),
-                wake_s=0.0,
-                sleep_s=0.0,
-                horizon_s=schedule.horizon_s,
-                playback=measurements[name],
-                sleep_joules=0.0,
-                re_sleeps=0,
-                busy_windows=(),
-                sleep_spans=(),
-                wake_spans=(),
-                idle_wall_w=envelope.idle_wall_w,
-                busy_wall_w=envelope.busy_wall_w,
-                sleep_wall_w=node.spec.sleep_wall_w,
-                busy_columns=(starts, ends),
-            ))
-        order = np.lexsort((col.end_s, col.arrival_s))
-        response_columns = ResponseColumns(
-            distinct=tuple(col.distinct),
-            node_names=tuple(n.spec.name for n in schedule.nodes),
-            sql_idx=col.sql_idx[order],
-            node_idx=col.node_idx[order],
-            arrival_s=col.arrival_s[order],
-            start_s=col.start_s[order],
-            completion_s=col.end_s[order],
-        )
-        return ClusterMeasurement(
-            horizon_s=schedule.horizon_s,
-            nodes=usages,
-            responses=[],
-            shed=list(schedule.shed),
-            peak_power_w=schedule.peak_power_w,
-            cap_w=schedule.cap_w,
-            qed=schedule.qed,
-            faults=schedule.faults,
-            run_id=schedule.run_id,
-            fingerprint=schedule.fingerprint,
-            response_columns=response_columns,
         )
 
     def run(self, arrivals: list[Arrival], mode: str = "batched",
             vectorized: bool | None = None) -> ClusterMeasurement:
         """Schedule and play an arrival stream end to end.
 
-        ``loop`` playback needs the legacy piece-based schedule, so it
-        implies ``vectorized=False`` unless the caller forced the fast
-        path explicitly (which then fails in :meth:`playback`).
+        ``loop`` playback replays per-piece timelines, which only the
+        per-arrival scheduler records, so it implies ``vectorized=False``
+        unless the caller forced the fast path explicitly (which then
+        fails in :meth:`playback`).
         """
         if mode == "loop" and vectorized is None:
             vectorized = False

@@ -27,6 +27,7 @@ curve -- which must be ~1e-15-ish noise, never a real difference.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -211,16 +212,37 @@ def cluster_scaling_scenario() -> tuple[list, object, list]:
     return uniform_fleet(nodes), RoundRobinRouter(), stream
 
 
+#: Timed repeats per side of the cluster comparisons: every side records
+#: its median wall time and its spread (max - min).  Sub-second sides
+#: take five; the per-arrival and per-piece oracles, seconds each at
+#: full size, take three.
+FAST_REPEATS = 5
+SLOW_REPEATS = 3
+
+
+def _median_wall(run, repeats: int):
+    """``(last result, median s, spread s)`` over ``repeats`` calls."""
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        walls.append(time.perf_counter() - start)
+    return result, statistics.median(walls), max(walls) - min(walls)
+
+
 @dataclass
 class ClusterPerfComparison:
-    """Batched fleet playback vs the per-query replay loop.
+    """Production playback vs the per-query replay loop.
 
-    Both paths play the *same* schedule (same routed timelines), so the
-    comparison isolates playback: one stacked array call per distinct
-    PVC setting versus one ``run_compiled`` call per scheduled piece.
+    Both paths play the *same* loop schedule, so the comparison
+    isolates playback: counts-times-measurement dot products over the
+    schedule's columnar rows versus one ``run_compiled`` call per
+    scheduled piece (the pieces are derived before the timed region).
+    ``scheduled_pieces`` counts the schedule's execution rows.
     ``max_rel_diff`` is the worst per-node relative deviation in wall
     energy, CPU energy, and duration -- float-summation noise, never a
-    real difference.
+    real difference.  Every ``*_wall_s`` is a median over repeats with
+    its ``*_spread_s`` beside it.
     """
 
     nodes: int
@@ -237,19 +259,22 @@ class ClusterPerfComparison:
     #: Config fingerprint hash of the scheduled run (bench history
     #: entries become attributable to their exact configuration).
     run_id: str | None = None
-    #: Warm re-run of the untraced schedule (same sim, same caches) --
-    #: the fair denominator for the tracing-overhead ratio.
-    untraced_rerun_wall_s: float = 0.0
     #: The same schedule with a SpanTracer attached.
     traced_schedule_wall_s: float = 0.0
     traced_spans: int = 0
     #: Worst per-node playback deviation of the traced run vs the
     #: untraced batched run -- tracing must never perturb energies.
     traced_max_rel_diff: float = 0.0
+    schedule_spread_s: float = 0.0
+    batched_spread_s: float = 0.0
+    loop_spread_s: float = 0.0
+    traced_schedule_spread_s: float = 0.0
+    fast_repeats: int = FAST_REPEATS
+    slow_repeats: int = SLOW_REPEATS
 
     @property
     def speedup(self) -> float:
-        """Playback-phase speedup of the batched stack over the loop."""
+        """Playback-phase speedup of production playback over the loop."""
         return self.loop_wall_s / self.batched_wall_s
 
     @property
@@ -263,14 +288,11 @@ class ClusterPerfComparison:
     @property
     def tracing_overhead(self) -> float:
         """Schedule-phase slowdown with tracing *enabled*, against the
-        warm untraced re-run (the disabled path is gated separately by
-        the ``cluster_scaling`` bench trend)."""
-        if self.untraced_rerun_wall_s <= 0:
+        untraced median (the disabled path is gated separately by the
+        ``cluster_scaling`` bench trend)."""
+        if self.schedule_wall_s <= 0:
             return 0.0
-        return (
-            self.traced_schedule_wall_s / self.untraced_rerun_wall_s
-            - 1.0
-        )
+        return self.traced_schedule_wall_s / self.schedule_wall_s - 1.0
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -278,6 +300,18 @@ class ClusterPerfComparison:
         out["end_to_end_speedup"] = self.end_to_end_speedup
         out["tracing_overhead"] = self.tracing_overhead
         return out
+
+
+def _worst_rel_diff(a, b) -> float:
+    """Worst per-node relative deviation in wall energy, CPU energy and
+    duration between two measurements of the same fleet."""
+    worst = 0.0
+    for x_node, y_node in zip(a.nodes, b.nodes):
+        for key in ("wall_joules", "cpu_joules", "duration_s"):
+            x = getattr(x_node.playback, key)
+            y = getattr(y_node.playback, key)
+            worst = max(worst, abs(x - y) / (abs(x) or 1.0))
+    return worst
 
 
 def compare_cluster_playback(
@@ -288,72 +322,54 @@ def compare_cluster_playback(
     scale_factor: float | None = None,
     trace_cache: TraceCache | None = None,
 ) -> ClusterPerfComparison:
-    """Time batched vs per-query-loop playback of one cluster schedule."""
+    """Time production vs per-query-loop playback of one loop schedule."""
     from repro.cluster.simulator import ClusterSimulator
-
-    sim = ClusterSimulator(db, specs, router, trace_cache=trace_cache)
-    # This comparison isolates *playback* (batched vs loop) on one
-    # legacy schedule; the vectorized scheduler has no per-piece
-    # timeline for the loop to replay, so pin the event loop explicitly.
-    start = time.perf_counter()
-    schedule = sim.schedule(arrivals, vectorized=False)
-    schedule_wall = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batched = sim.playback(schedule, mode="batched")
-    batched_wall = time.perf_counter() - start
-
-    start = time.perf_counter()
-    loop = sim.playback(schedule, mode="loop")
-    loop_wall = time.perf_counter() - start
-
-    worst = 0.0
-    for a, b in zip(batched.nodes, loop.nodes):
-        for key in ("wall_joules", "cpu_joules", "duration_s"):
-            x = getattr(a.playback, key)
-            y = getattr(b.playback, key)
-            worst = max(worst, abs(x - y) / (abs(x) or 1.0))
-
-    # Tracing pass on the same (warm) simulator: re-time the untraced
-    # schedule first so the overhead ratio compares warm to warm, then
-    # schedule again with spans on and check playback is unperturbed.
     from repro.obs import NULL_TRACER, SpanTracer
 
-    start = time.perf_counter()
-    sim.schedule(arrivals, vectorized=False)
-    untraced_rerun_wall = time.perf_counter() - start
+    sim = ClusterSimulator(db, specs, router, trace_cache=trace_cache)
+    # The loop oracle replays per-piece timelines, which only the
+    # per-arrival scheduler records; pin it explicitly.
+    schedule, schedule_wall, schedule_spread = _median_wall(
+        lambda: sim.schedule(arrivals, vectorized=False), FAST_REPEATS
+    )
+    schedule.pieces_by_node  # derive the oracle's pieces untimed
+    batched, batched_wall, batched_spread = _median_wall(
+        lambda: sim.playback(schedule), FAST_REPEATS
+    )
+    loop, loop_wall, loop_spread = _median_wall(
+        lambda: sim.playback(schedule, mode="loop"), SLOW_REPEATS
+    )
 
+    # Tracing pass on the same (warm) simulator: schedule with spans
+    # on and check playback is unperturbed.
     tracer = SpanTracer()
     sim.tracer = tracer
-    start = time.perf_counter()
-    traced_schedule = sim.schedule(arrivals, vectorized=False)
-    traced_schedule_wall = time.perf_counter() - start
+    traced_schedule, traced_wall, traced_spread = _median_wall(
+        lambda: sim.schedule(arrivals, vectorized=False), FAST_REPEATS
+    )
     sim.tracer = NULL_TRACER
-    traced = sim.playback(traced_schedule, mode="batched")
-    traced_worst = 0.0
-    for a, b in zip(batched.nodes, traced.nodes):
-        for key in ("wall_joules", "cpu_joules", "duration_s"):
-            x = getattr(a.playback, key)
-            y = getattr(b.playback, key)
-            traced_worst = max(traced_worst, abs(x - y) / (abs(x) or 1.0))
+    traced = sim.playback(traced_schedule)
 
     return ClusterPerfComparison(
         nodes=len(specs),
         arrivals=len(arrivals),
         scale_factor=scale_factor,
         distinct_queries=len({a.sql for a in arrivals}),
-        scheduled_pieces=schedule.scheduled_pieces,
+        scheduled_pieces=len(schedule.rows),
         schedule_wall_s=schedule_wall,
         batched_wall_s=batched_wall,
         loop_wall_s=loop_wall,
         batched_wall_joules=batched.wall_joules,
         loop_wall_joules=loop.wall_joules,
-        max_rel_diff=worst,
+        max_rel_diff=_worst_rel_diff(batched, loop),
         run_id=schedule.run_id,
-        untraced_rerun_wall_s=untraced_rerun_wall,
-        traced_schedule_wall_s=traced_schedule_wall,
+        traced_schedule_wall_s=traced_wall,
         traced_spans=len(tracer.spans),
-        traced_max_rel_diff=traced_worst,
+        traced_max_rel_diff=_worst_rel_diff(batched, traced),
+        schedule_spread_s=schedule_spread,
+        batched_spread_s=batched_spread,
+        loop_spread_s=loop_spread,
+        traced_schedule_spread_s=traced_spread,
     )
 
 
@@ -418,7 +434,9 @@ class SchedulingComparison:
     identically-configured fleets; ``max_rel_diff`` is the worst
     per-node relative deviation in wall energy, CPU energy, and busy
     duration between the two playbacks -- float-summation noise, never
-    a real difference (dispatch counts must match exactly).
+    a real difference (dispatch counts must match exactly).  Every
+    ``*_wall_s`` is a median over repeats with its ``*_spread_s``
+    beside it.
     """
 
     nodes: int
@@ -434,6 +452,12 @@ class SchedulingComparison:
     max_rel_diff: float
     dispatch_match: bool
     run_id: str | None = None
+    legacy_schedule_spread_s: float = 0.0
+    vectorized_schedule_spread_s: float = 0.0
+    legacy_playback_spread_s: float = 0.0
+    vectorized_playback_spread_s: float = 0.0
+    fast_repeats: int = FAST_REPEATS
+    slow_repeats: int = SLOW_REPEATS
 
     @property
     def sched_speedup(self) -> float:
@@ -445,7 +469,7 @@ class SchedulingComparison:
 
     @property
     def end_to_end_speedup(self) -> float:
-        """Schedule + playback, each path on its native playback."""
+        """Schedule + playback, each path on its own schedule."""
         return (
             (self.legacy_schedule_wall_s + self.legacy_playback_wall_s)
             / (self.vectorized_schedule_wall_s
@@ -469,11 +493,11 @@ def compare_cluster_scheduling(
 ) -> SchedulingComparison:
     """Time the vectorized and legacy schedulers on identical inputs.
 
-    ``router_factory`` builds a fresh router per path (routers carry
+    ``router_factory`` builds a fresh router per run (routers carry
     rotation/busy state; ``schedule`` re-prepares the fleet, so one
-    simulator serves both).  A warm-up schedule runs first: it fills
-    the runner's execution cache, the database plan cache, and any
-    trace cache, so the timed runs compare event cores warm-vs-warm
+    simulator serves both paths).  A warm-up schedule runs first: it
+    fills the runner's execution cache, the database plan cache, and
+    any trace cache, so the timed runs compare event cores warm-vs-warm
     instead of measuring execute-once costing twice.
     """
     from repro.cluster.simulator import ClusterSimulator
@@ -483,31 +507,27 @@ def compare_cluster_scheduling(
     )
     sim.schedule(arrivals, vectorized=True)  # warm-up
 
-    sim.router = router_factory()
-    start = time.perf_counter()
-    legacy_schedule = sim.schedule(arrivals, vectorized=False)
-    legacy_schedule_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    legacy = sim.playback(legacy_schedule, mode="batched")
-    legacy_playback_wall = time.perf_counter() - start
+    def schedule(vectorized: bool):
+        sim.router = router_factory()
+        return sim.schedule(arrivals, vectorized=vectorized)
 
-    sim.router = router_factory()
-    start = time.perf_counter()
-    vec_schedule = sim.schedule(arrivals, vectorized=True)
-    vec_schedule_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    vectorized = sim.playback(vec_schedule, mode="batched")
-    vec_playback_wall = time.perf_counter() - start
+    legacy_schedule, legacy_schedule_wall, legacy_schedule_spread = (
+        _median_wall(lambda: schedule(False), SLOW_REPEATS)
+    )
+    legacy, legacy_playback_wall, legacy_playback_spread = _median_wall(
+        lambda: sim.playback(legacy_schedule), FAST_REPEATS
+    )
+    vec_schedule, vec_schedule_wall, vec_schedule_spread = _median_wall(
+        lambda: schedule(True), FAST_REPEATS
+    )
+    vectorized, vec_playback_wall, vec_playback_spread = _median_wall(
+        lambda: sim.playback(vec_schedule), FAST_REPEATS
+    )
 
-    worst = 0.0
-    dispatch_match = vectorized.served == legacy.served
-    for a, b in zip(vectorized.nodes, legacy.nodes):
-        dispatch_match = dispatch_match and a.queries == b.queries
-        for key in ("wall_joules", "cpu_joules", "duration_s"):
-            x = getattr(a.playback, key)
-            y = getattr(b.playback, key)
-            worst = max(worst, abs(x - y) / (abs(x) or 1.0))
-
+    dispatch_match = vectorized.served == legacy.served and all(
+        a.queries == b.queries
+        for a, b in zip(vectorized.nodes, legacy.nodes)
+    )
     return SchedulingComparison(
         nodes=len(specs),
         arrivals=len(arrivals),
@@ -519,9 +539,13 @@ def compare_cluster_scheduling(
         vectorized_playback_wall_s=vec_playback_wall,
         legacy_wall_joules=legacy.wall_joules,
         vectorized_wall_joules=vectorized.wall_joules,
-        max_rel_diff=worst,
+        max_rel_diff=_worst_rel_diff(vectorized, legacy),
         dispatch_match=dispatch_match,
         run_id=vec_schedule.run_id,
+        legacy_schedule_spread_s=legacy_schedule_spread,
+        vectorized_schedule_spread_s=vec_schedule_spread,
+        legacy_playback_spread_s=legacy_playback_spread,
+        vectorized_playback_spread_s=vec_playback_spread,
     )
 
 
@@ -690,9 +714,9 @@ class DiurnalAblation:
     ``phase_energy`` slices each policy's *modeled* energy into the
     schedule's low/mid/peak phases (``window_s`` windows, 20 s by
     default, classified by the scheduled rate at their midpoint).  ``hetero_*`` record the
-    batched-vs-loop playback comparison on the dynamic schedule --
-    proving the heterogeneous-fleet hot path keeps both its exactness
-    and its speedup.
+    production-vs-loop playback comparison on the dynamic schedule --
+    proving heterogeneous-fleet playback keeps both its exactness and
+    its speedup.
     """
 
     arrivals: int
@@ -1003,6 +1027,7 @@ def run_diurnal_ablation(
             slices[phase] += window.modeled_joules
         phase_energy[name] = slices
         if name == "dynamic":
+            scheduled.pieces_by_node  # derive the oracle's pieces untimed
             start = time.perf_counter()
             loop = sim.playback(scheduled, mode="loop")
             loop_wall = time.perf_counter() - start

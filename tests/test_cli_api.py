@@ -147,6 +147,15 @@ class TestFleetDocuments:
         ([{"count": 2}], "fleet: expected an object"),
         ({"groups": {"count": 2}}, "groups: expected a list of node groups"),
         ({"groups": [2]}, "groups[0]: expected a group object, got 2"),
+        # out of bounds, named by field path
+        ({"groups": [{"count": 1}, {"count": 1, "capacity": 0}]},
+         "groups[1].capacity: capacity must be positive, got 0"),
+        ({"groups": [{"count": 1, "sleep_wall_w": -1}]},
+         "groups[0].sleep_wall_w: sleep_wall_w must be non-negative, "
+         "got -1"),
+        ({"groups": [{"count": 1, "wake_latency_s": -0.5}]},
+         "groups[0].wake_latency_s: wake_latency_s must be non-negative, "
+         "got -0.5"),
     ])
     def test_rejects(self, tmp_path, doc, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -165,6 +174,9 @@ class TestClusterInputErrors:
         ("--fleet", [{"count": 2}], "fleet: expected an object"),
         ("--faults", {"faults": [dict(CRASH, at_s="soon")]},
          "faults[0].at_s: expected a finite number, got 'soon'"),
+        ("--arrivals", -5, "--arrivals must be non-negative, got -5"),
+        ("--distinct", 0, "--distinct must be in 1..50, got 0"),
+        ("--distinct", 51, "--distinct must be in 1..50, got 51"),
     ])
     def test_one_error_line(self, tmp_path, capsys, flag, doc, message):
         value = str(doc)
@@ -176,3 +188,7 @@ class TestClusterInputErrors:
         assert status == 2
         assert len(err) == 1 and err[0].startswith("error: ")
         assert message in err[0]
+
+    def test_zero_arrivals_is_an_empty_run(self, capsys):
+        assert main(["cluster", "--sf", "0.002", "--arrivals", "0"]) == 0
+        assert "served 0, shed 0" in capsys.readouterr().out
